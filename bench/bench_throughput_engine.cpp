@@ -1,6 +1,6 @@
 // Ranging throughput of the batched engine runtime: ranges/sec for one
 // fixed request mix at 1/2/4/8 worker threads, an async-ingestion run with
-// pipelined submit_batch handles, a sustained bounded-queue backpressure
+// pipelined submit_batch sessions, a sustained bounded-queue backpressure
 // run (RangingSession::try_submit at queue depths 1/8/64), a chronosd
 // daemon-over-loopback sweep (clients x shard queue depth, with wire-level
 // kQueueFull retry ratios), plus the scaling curve and a determinism
@@ -96,22 +96,22 @@ int main() {
   }
 
   // Async ingestion on the persistent session pool: several batches in
-  // flight at once (submit_batch -> BatchHandle), results still
+  // flight at once (submit_batch -> RangingSession::drain), results still
   // bit-identical to the 1-thread reference. On real cores this pipelines
-  // sweep production; on this container it exercises the API contract.
+  // sweep production; on a single core it exercises the API contract.
   constexpr int kPipelined = 3;
   const auto t_async0 = std::chrono::steady_clock::now();
-  std::vector<core::BatchHandle> handles;
+  std::vector<core::RangingSession> sessions;
   for (int b = 0; b < kPipelined; ++b) {
     mathx::Rng batch_rng(kBatchSeed);
-    handles.push_back(
+    sessions.push_back(
         eng.submit_batch(requests, batch_rng, BatchOptions{4}));
   }
-  for (auto& handle : handles) {
-    const auto out = handle.get();
+  for (auto& session : sessions) {
+    const auto out = session.drain();
     for (int i = 0; i < kRequests; ++i) {
       const auto k = static_cast<std::size_t>(i);
-      if (out.results[k].tof_s != reference[k].tof_s) ++mismatches;
+      if (out[k].tof_s != reference[k].tof_s) ++mismatches;
     }
   }
   const double async_wall =

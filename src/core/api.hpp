@@ -163,8 +163,7 @@ struct BatchResult {
   /// request never aborts the rest of the batch.
   std::vector<core::RangingResult> results;
   /// Wall-clock diagnostics; informational only, NOT covered by the
-  /// determinism contract. For async submissions, wall_time_s spans
-  /// submit -> get() collection.
+  /// determinism contract.
   int threads_used = 1;
   double wall_time_s = 0.0;
 };
@@ -396,7 +395,7 @@ class Engine {
   std::size_t session_threads() const;
 
   /// The wrapped engine-level object, for code that needs the full
-  /// core surface (band plans, async BatchHandle, explicit backends).
+  /// core surface (band plans, async submit_batch, explicit backends).
   core::ChronosEngine& engine();
   const core::ChronosEngine& engine() const;
 

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -19,6 +20,57 @@ const std::vector<phy::WifiBand>& checked_bands(
     const std::shared_ptr<const SweepSource>& source) {
   CHRONOS_EXPECTS(source != nullptr, "ChronosEngine needs a sweep source");
   return source->bands();
+}
+
+/// Threads a batch of `n_requests` actually uses under `options`.
+int resolve_batch_threads(const BatchOptions& options,
+                          std::size_t n_requests) {
+  CHRONOS_EXPECTS(options.threads >= 0, "batch threads must be >= 0");
+  std::size_t n = options.threads == 0
+                      ? WorkerPool::default_thread_count()
+                      : static_cast<std::size_t>(options.threads);
+  n = std::min(n, std::max<std::size_t>(1, n_requests));
+  return static_cast<int>(n);
+}
+
+/// Id-based requests resolved in place: failed[i] is non-ok exactly where
+/// requests[i] did not resolve (its placeholder is never ranged).
+struct Resolution {
+  std::vector<ResolvedRequest> requests;
+  std::vector<chronos::Status> failed;
+};
+
+Resolution resolve_all(const SweepSource& source,
+                       std::span<const chronos::RangingRequest> requests) {
+  Resolution out;
+  out.requests.resize(requests.size());
+  out.failed.resize(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto r = source.resolve(requests[i]);
+    if (r.ok()) {
+      out.requests[i] = std::move(r).value();
+    } else {
+      out.failed[i] = r.status();
+    }
+  }
+  return out;
+}
+
+/// Drains a fed batch session into a BatchResult; `t0` starts the
+/// wall_time_s diagnostic.
+BatchResult collect(RangingSession session,
+                    std::chrono::steady_clock::time_point t0) {
+  BatchResult out;
+  out.results = session.drain();
+  out.threads_used = std::min(
+      session.threads(), static_cast<int>(std::max<std::size_t>(
+                             1, out.results.size())));
+  // Diagnostic only: results came out of drain() above.
+  // lint:allow(nondeterminism)
+  out.wall_time_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  return out;
 }
 }  // namespace
 
@@ -179,7 +231,7 @@ std::shared_ptr<WorkerPool> ChronosEngine::session_pool(int threads) const {
   if (!pool_ || pool_->size() < wanted) {
     // Grow by replacement (WorkerPool is fixed-size by design). The old
     // pool, if any, stays alive through the shared_ptr held by every
-    // outstanding BatchHandle, so in-flight batches drain undisturbed.
+    // outstanding session, so in-flight batches drain undisturbed.
     pool_ = std::make_shared<WorkerPool>(wanted);
   }
   return pool_;
@@ -190,66 +242,76 @@ std::size_t ChronosEngine::session_threads() const {
   return pool_ ? pool_->size() : 0;
 }
 
-BatchResult ChronosEngine::measure_batch(
-    std::span<const ResolvedRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  const int threads = resolve_batch_threads(options, requests.size());
-  return run_ranging_batch(*source_, *pipeline_, *calibration_, requests,
-                           rng, options,
-                           threads > 1 ? session_pool(threads) : nullptr);
-}
-
-BatchResult ChronosEngine::measure_batch(
-    std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  // Resolve up front so every request keeps its index (and thus its split
-  // stream): failed slots are passed to the runtime as a prefailed mask —
-  // their placeholder entries are never handed to the backend, and their
-  // results carry the resolution status.
-  std::vector<ResolvedRequest> resolved(requests.size());
-  std::vector<chronos::Status> failures(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto r = source_->resolve(requests[i]);
-    if (r.ok()) {
-      resolved[i] = std::move(r).value();
-    } else {
-      failures[i] = r.status();
-    }
-  }
-  const int threads = resolve_batch_threads(options, resolved.size());
-  return run_ranging_batch(*source_, *pipeline_, *calibration_, resolved,
-                           rng, options,
-                           threads > 1 ? session_pool(threads) : nullptr,
-                           failures);
-}
-
-BatchHandle ChronosEngine::submit_batch(
-    std::span<const ResolvedRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  const int threads = resolve_batch_threads(options, requests.size());
-  return submit_ranging_batch(session_pool(threads), source_, pipeline_,
-                              calibration_, requests, rng, options.retry);
-}
-
-BatchHandle ChronosEngine::submit_batch(
-    std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  const int threads = resolve_batch_threads(options, requests.size());
+RangingSession ChronosEngine::feed(std::span<const ResolvedRequest> requests,
+                                   std::span<const chronos::Status> failed,
+                                   mathx::Rng& rng,
+                                   const BatchOptions& options) const {
+  CHRONOS_EXPECTS(failed.empty() || failed.size() == requests.size(),
+                  "failed must be empty or match the request count");
+  const std::size_t n = requests.size();
+  const int threads = resolve_batch_threads(options, n);
+  // A batch is a session with no admission bound: the caller opted into
+  // batch semantics, so the submission side needs no flow control. One
+  // thread needs no pool: each group then ranges on this thread — which
+  // also keeps locate_batch's nested one-thread batches off the pool.
   auto session = open_ranging_session(
-      session_pool(threads), source_, pipeline_, calibration_, rng,
+      threads > 1 ? session_pool(threads) : nullptr, source_, pipeline_,
+      calibration_, rng.fork(kBatchStreamTag),
       std::numeric_limits<std::size_t>::max(), options.retry);
-  for (const auto& request : requests) {
-    auto resolved = source_->resolve(request);
-    if (resolved.ok()) {
-      (void)session.submit_resolved(std::move(resolved).value());
-    } else {
-      (void)session.push_failed(resolved.status());
+  // Each group becomes one job draining a multi-RHS solver panel. Failed
+  // slots split their group and take their own ticket in place, so ticket
+  // i is request i and every result is bit-identical to one-by-one
+  // admission.
+  auto is_failed = [&](std::size_t i) {
+    return !failed.empty() && !failed[i].ok();
+  };
+  const std::size_t group =
+      ranging_solve_group(n, static_cast<std::size_t>(threads));
+  for (std::size_t lo = 0; lo < n; lo += group) {
+    const std::size_t hi = std::min(n, lo + group);
+    for (std::size_t i = lo; i < hi;) {
+      if (is_failed(i)) {
+        (void)session.push_failed(failed[i++]);
+        continue;
+      }
+      std::size_t end = i + 1;
+      while (end < hi && !is_failed(end)) ++end;
+      (void)session.submit_group(requests.subspan(i, end - i));
+      i = end;
     }
   }
-  const int threads_used = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(session.threads()),
-      std::max<std::size_t>(1, requests.size())));
-  return make_batch_handle(std::move(session), threads_used);
+  return session;
+}
+
+BatchResult ChronosEngine::measure_batch(
+    std::span<const ResolvedRequest> requests, mathx::Rng& rng,
+    const BatchOptions& options) const {
+  // Wall-clock diagnostic (wall_time_s); results are a pure function of
+  // the session's streams. lint:allow(nondeterminism)
+  const auto t0 = std::chrono::steady_clock::now();
+  return collect(feed(requests, {}, rng, options), t0);
+}
+
+BatchResult ChronosEngine::measure_batch(
+    std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
+    const BatchOptions& options) const {
+  // Diagnostic only; see above. lint:allow(nondeterminism)
+  const auto t0 = std::chrono::steady_clock::now();
+  const Resolution resolved = resolve_all(*source_, requests);
+  return collect(feed(resolved.requests, resolved.failed, rng, options), t0);
+}
+
+RangingSession ChronosEngine::submit_batch(
+    std::span<const ResolvedRequest> requests, mathx::Rng& rng,
+    const BatchOptions& options) const {
+  return feed(requests, {}, rng, options);
+}
+
+RangingSession ChronosEngine::submit_batch(
+    std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
+    const BatchOptions& options) const {
+  const Resolution resolved = resolve_all(*source_, requests);
+  return feed(resolved.requests, resolved.failed, rng, options);
 }
 
 RangingSession ChronosEngine::open_session(mathx::Rng& rng,
@@ -261,8 +323,8 @@ RangingSession ChronosEngine::open_session(mathx::Rng& rng,
           ? static_cast<int>(WorkerPool::default_thread_count())
           : options.threads;
   return open_ranging_session(session_pool(threads), source_, pipeline_,
-                              calibration_, rng, options.queue_depth,
-                              options.retry);
+                              calibration_, rng.fork(kBatchStreamTag),
+                              options.queue_depth, options.retry);
 }
 
 // ------------------------------------------------------------ localization
@@ -354,7 +416,7 @@ std::vector<LocateOutcome> ChronosEngine::locate_batch(
   // One pool job per localization; each job runs its own pair sweeps
   // inline (BatchOptions{1}) so the pool is never nested. Job i draws from
   // base.split(i), making the output a pure function of (engine, requests,
-  // rng state) exactly as in run_ranging_batch.
+  // rng state) exactly as in measure_batch.
   auto process = [&](std::size_t i) {
     mathx::Rng child = base.split(static_cast<std::uint64_t>(i));
     return locate(requests[i].tx, requests[i].rx, child, requests[i].hint,

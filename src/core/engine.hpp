@@ -6,12 +6,13 @@
 // paper's applications use:
 //   * calibrate()        one-time known-distance hardware calibration (§7)
 //   * measure()          sub-ns ToF + distance for one id-based request
-//   * measure_batch()    many antenna pairs ranged concurrently (batched
-//                        runtime, core/batch.hpp)
-//   * submit_batch()     same, asynchronously: returns a BatchHandle so the
-//                        caller can pipeline ingestion
-//   * open_session()     streaming submission with a bounded queue
-//                        (core/session.hpp) — the v2 flow-control surface
+//   * measure_batch()    many antenna pairs ranged concurrently: a
+//                        session (core/session.hpp) fed every request,
+//                        then drained
+//   * submit_batch()     same, asynchronously: returns the fed session so
+//                        the caller can pipeline ingestion and drain later
+//   * open_session()     streaming submission with a bounded queue — the
+//                        v2 flow-control surface
 //   * locate()           device-to-device relative localization (§8)
 //   * locate_batch()     many localizations ranged concurrently
 //
@@ -43,12 +44,12 @@
 #include <vector>
 
 #include "core/api.hpp"
-#include "core/batch.hpp"
 #include "core/calibration.hpp"
 #include "core/localization.hpp"
 #include "core/ranging.hpp"
 #include "core/session.hpp"
 #include "core/sweep_source.hpp"
+#include "geom/vec2.hpp"
 #include "mathx/annotations.hpp"
 #include "mathx/rng.hpp"
 
@@ -67,9 +68,21 @@ struct EngineConfig {
   double calibration_distance_m = 3.0;
 };
 
-/// The public outcome type lives on the facade (core/api.hpp).
+/// The public option/result types live on the facade (core/api.hpp);
+/// these aliases keep engine-level code terse.
+using BatchOptions = chronos::BatchOptions;
+using BatchResult = chronos::BatchResult;
 using LocateOutcome = chronos::LocateOutcome;
 using SessionOptions = chronos::SessionOptions;
+
+/// One unit of localization work after backend resolution (see
+/// ChronosEngine::locate_batch; new code submits chronos::LocateRequest
+/// ids instead).
+struct ResolvedLocateRequest {
+  sim::Device tx;
+  sim::Device rx;
+  std::optional<geom::Vec2> hint;
+};
 
 class ChronosEngine {
  public:
@@ -159,23 +172,27 @@ class ChronosEngine {
                             mathx::Rng& rng,
                             const BatchOptions& options = {}) const;
 
-  /// Async variant: admits the batch to a session on the pool and returns
-  /// a future-style handle immediately, so callers can submit the next
-  /// batch (or do unrelated work) while this one ranges. Identical
-  /// determinism contract and rng advancement as measure_batch —
-  /// submitting then get()ing is bit-identical to the synchronous call,
-  /// for any thread count and any interleaving of outstanding handles.
-  BatchHandle submit_batch(std::span<const chronos::RangingRequest> requests,
-                           mathx::Rng& rng,
-                           const BatchOptions& options = {}) const;
-  BatchHandle submit_batch(std::span<const ResolvedRequest> requests,
-                           mathx::Rng& rng,
-                           const BatchOptions& options = {}) const;
+  /// Async variant: admits the whole batch to an unbounded session and
+  /// returns it, so callers can submit the next batch (or do unrelated
+  /// work) while this one ranges; drain() collects results[i] for
+  /// requests[i], and all_done()/wait_all() observe completion. Identical
+  /// determinism contract and rng advancement as measure_batch — submitting
+  /// then draining is bit-identical to the synchronous call, for any thread
+  /// count and any interleaving of outstanding sessions. The session
+  /// co-owns the pool, backend, pipeline, and calibration, so it stays
+  /// collectable after the engine dies; dropping it undrained is safe. A
+  /// batch that resolves to one thread ranges inline before this returns.
+  RangingSession submit_batch(
+      std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
+      const BatchOptions& options = {}) const;
+  RangingSession submit_batch(std::span<const ResolvedRequest> requests,
+                              mathx::Rng& rng,
+                              const BatchOptions& options = {}) const;
 
   /// Opens a bounded-queue streaming session on the persistent pool (the
-  /// v2 flow-control surface; core/session.hpp). Forks `rng` once: a
-  /// session fed requests one at a time is bit-identical to measure_batch
-  /// over the same requests on the same rng state.
+  /// v2 flow-control surface). Forks `rng` once: a session fed requests
+  /// one at a time is bit-identical to measure_batch over the same
+  /// requests on the same rng state.
   RangingSession open_session(mathx::Rng& rng,
                               const SessionOptions& options = {}) const;
 
@@ -230,6 +247,15 @@ class ChronosEngine {
   /// concurrent grow can never destroy a pool under a running batch.
   std::shared_ptr<WorkerPool> session_pool(int threads) const;
 
+  /// The one batch path under measure_batch and submit_batch: forks `rng`
+  /// once, opens an unbounded session (poolless, so inline, when the batch
+  /// resolves to one thread), and admits `requests` in solve groups split
+  /// around every slot `failed` marks (empty, or one Status per request);
+  /// those slots go through push_failed, so ticket i is request i.
+  RangingSession feed(std::span<const ResolvedRequest> requests,
+                      std::span<const chronos::Status> failed,
+                      mathx::Rng& rng, const BatchOptions& options) const;
+
   /// Registers Device-overload shim arguments with a writable backend
   /// directory (no-op on backends whose directory is fixed).
   void ensure_registered(const sim::Device& device) const;
@@ -246,11 +272,10 @@ class ChronosEngine {
 
   EngineConfig config_;
   std::shared_ptr<const SweepSource> source_;
-  // Pipeline and calibration live behind shared_ptrs so async batches
-  // (BatchHandle payloads) can co-own them: a handle stays collectable
-  // even after the engine is gone, and a calibrate()/set_calibration()
-  // while batches are in flight swaps the table without pulling it out
-  // from under them.
+  // Pipeline and calibration live behind shared_ptrs so sessions can
+  // co-own them: a session stays collectable even after the engine is
+  // gone, and a calibrate()/set_calibration() while batches are in flight
+  // swaps the table without pulling it out from under them.
   std::shared_ptr<const RangingPipeline> pipeline_;
   std::shared_ptr<const CalibrationTable> calibration_;
   LocalizerOptions localizer_;

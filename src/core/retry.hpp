@@ -10,10 +10,10 @@
 // way the retry-free runtime consumed the stream itself, so a
 // RetryPolicy{1} run is bit-identical to the pre-retry pipeline.
 //
-// Both ingestion paths (core/batch.hpp's synchronous groups and
-// core/session.hpp's streaming workers) route their retries through
-// finish_with_retries: the first attempt rides the multi-RHS solver panel
-// as before, and only failed slots pay the per-request retry solves.
+// The session's one job body (core/session.cpp's range_group) routes its
+// retries through finish_with_retries: the first attempt rides the
+// multi-RHS solver panel, and only failed slots pay the per-request retry
+// solves.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +54,10 @@ RangingResult finish_with_retries(const SweepSource& source,
                                   RangingResult first_attempt,
                                   const chronos::RetryPolicy& policy);
 
-/// First attempt + retries in one call (the streaming per-ticket path).
-/// Attempt 0 consumes a copy of `ticket_stream` exactly as the retry-free
-/// runtime would consume the stream itself.
+/// First attempt + retries in one call: the per-request reference every
+/// session ticket is bit-identical to. Attempt 0 consumes a copy of
+/// `ticket_stream` exactly as the retry-free runtime would consume the
+/// stream itself.
 RangingResult range_with_retries(const SweepSource& source,
                                  const RangingPipeline& pipeline,
                                  const CalibrationTable& calibration,

@@ -17,7 +17,7 @@ namespace {
 /// What the per-ticket jobs co-own. Deliberately does NOT reference the
 /// pool — a worker thread may drop the last reference, and it must never
 /// end up destroying (and thus self-joining) its own pool. The pool is
-/// held caller-side by RangingSession::State (and by any BatchHandle).
+/// held caller-side by RangingSession::State.
 struct Shared {
   const mathx::Rng base;
   const std::shared_ptr<const SweepSource> source;
@@ -47,42 +47,16 @@ struct Shared {
         retry(retry_policy) {}
 };
 
-/// Ranges one resolved request on split stream `stream_index` (the local
-/// ticket for plain sessions; a caller-owned global index for sharded
-/// ones). All request-shaped failures land in the result's status;
-/// anything thrown is a library defect, captured as kInternal so one bad
-/// job cannot poison the pool or the session.
-RangingResult range_one(const Shared& shared, std::uint64_t stream_index,
-                        const ResolvedRequest& request) {
-  RangingResult result;
-  try {
-    // Ticket stream + retries: attempt 0 consumes a copy of split(i)
-    // exactly as the retry-free path consumed the split itself; retry a
-    // draws from split(i).split(kRetryStreamTag + a).
-    result = range_with_retries(*shared.source, *shared.pipeline,
-                                *shared.calibration, request,
-                                shared.base.split(stream_index), shared.retry);
-  } catch (const std::exception& e) {
-    result = RangingResult{};
-    result.status = {chronos::StatusCode::kInternal, e.what()};
-  } catch (...) {
-    result = RangingResult{};
-    result.status = {chronos::StatusCode::kInternal,
-                     "non-exception throw while ranging"};
-  }
-  return result;
-}
-
-/// Ranges a whole admitted group on one worker. Per-ticket split streams
-/// and sweep failures are exactly what range_one would produce for each
-/// ticket; the good sweeps then drain through ONE
+/// The one job body: ranges `requests` on streams
+/// base.split(first_stream + j). Sweep failures land in their slot's
+/// status; the good sweeps then drain through ONE
 /// RangingPipeline::estimate_batch (the multi-RHS solver panel), and an
-/// index scatter re-aligns the estimates with their tickets. Anything
-/// thrown is a library defect: once the shared panel solve has failed, no
-/// per-ticket result can be trusted, so every ticket in the group reports
-/// kInternal.
+/// index scatter re-aligns the estimates with their slots. A single
+/// request is a group of one. Anything thrown is a library defect: once
+/// the shared panel solve has failed, no per-ticket result can be trusted,
+/// so every ticket in the group reports kInternal.
 std::vector<RangingResult> range_group(
-    const Shared& shared, std::uint64_t first_ticket,
+    const Shared& shared, std::uint64_t first_stream,
     std::span<const ResolvedRequest> requests) {
   std::vector<RangingResult> results(requests.size());
   try {
@@ -92,7 +66,7 @@ std::vector<RangingResult> range_group(
     slots.reserve(requests.size());
     for (std::size_t j = 0; j < requests.size(); ++j) {
       mathx::Rng child =
-          shared.base.split(first_ticket + static_cast<std::uint64_t>(j));
+          shared.base.split(first_stream + static_cast<std::uint64_t>(j));
       auto sweep = shared.source->sweep_for(requests[j], child);
       if (!sweep.ok()) {
         results[j].status = sweep.status();
@@ -110,11 +84,11 @@ std::vector<RangingResult> range_group(
     }
     // Retries ride per ticket AFTER the shared panel: only failed slots
     // pay per-request retry solves, and each retry attempt is a pure
-    // function of its ticket stream — bit-identical to range_one.
+    // function of its ticket stream — bit-identical to range_with_retries.
     for (std::size_t j = 0; j < requests.size(); ++j) {
       results[j] = finish_with_retries(
           *shared.source, *shared.pipeline, *shared.calibration, requests[j],
-          shared.base.split(first_ticket + static_cast<std::uint64_t>(j)),
+          shared.base.split(first_stream + static_cast<std::uint64_t>(j)),
           std::move(results[j]), shared.retry);
     }
   } catch (const std::exception& e) {
@@ -132,19 +106,24 @@ std::vector<RangingResult> range_group(
   return results;
 }
 
-void complete(const std::shared_ptr<Shared>& shared, std::uint64_t ticket,
-              RangingResult result) {
-  chronos::MutexLock lock(shared->mutex);
-  shared->done.emplace(ticket, std::move(result));
-  ++shared->finished;
-  shared->cv.notify_all();
+/// Publishes a finished group: tickets first_ticket.. get `results`.
+void complete(Shared& shared, std::uint64_t first_ticket,
+              std::vector<RangingResult> results) {
+  chronos::MutexLock lock(shared.mutex);
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    shared.done.emplace(first_ticket + static_cast<std::uint64_t>(j),
+                        std::move(results[j]));
+  }
+  shared.finished += results.size();
+  shared.cv.notify_all();
 }
 
 }  // namespace
 
 struct RangingSession::State {
   std::shared_ptr<Shared> shared;
-  std::shared_ptr<WorkerPool> pool;  ///< caller-side ownership only
+  /// Caller-side ownership only; nullptr runs jobs on the admitting thread.
+  std::shared_ptr<WorkerPool> pool;
   std::size_t depth = 1;
 };
 
@@ -155,7 +134,7 @@ std::size_t RangingSession::queue_depth() const {
 
 int RangingSession::threads() const {
   CHRONOS_EXPECTS(state_ != nullptr, "threads() on an invalid session");
-  return static_cast<int>(state_->pool->size());
+  return state_->pool ? static_cast<int>(state_->pool->size()) : 1;
 }
 
 chronos::Result<std::uint64_t> RangingSession::try_submit(
@@ -169,25 +148,20 @@ chronos::Result<std::uint64_t> RangingSession::try_submit(
   };
   // Capacity first, resolution second: rejection is the hot path of a
   // saturating producer, and it must not pay a directory lookup (plus two
-  // device copies) just to throw the result away. try_submit_resolved
-  // re-checks under the lock, so a concurrent producer sneaking in
-  // between the two checks still cannot overfill the queue. The check
-  // itself must stay allocation-free (a malloc under a saturating
-  // producer's rejection path would serialize producers on the heap
-  // lock) — the lint region makes that a compile-tree guarantee.
+  // device copies) just to throw the result away. claim() re-checks under
+  // the lock, so a concurrent producer sneaking in between the two checks
+  // still cannot overfill the queue. The check itself must stay
+  // allocation-free (a malloc under a saturating producer's rejection path
+  // would serialize producers on the heap lock) — the lint region makes
+  // that a compile-tree guarantee.
   // lint:region(no-alloc)
-  {
-    chronos::MutexLock lock(state_->shared->mutex);
-    if (state_->shared->submitted - state_->shared->finished >=
-        state_->depth) {
-      return queue_full();
-    }
-  }
+  if (in_flight() >= state_->depth) return queue_full();
   // lint:endregion(no-alloc)
   auto resolved = state_->shared->source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  const auto ticket = try_submit_resolved(std::move(resolved).value());
+  const auto ticket = claim(1, /*block=*/false);
   if (!ticket) return queue_full();
+  dispatch(*ticket, *ticket, {&resolved.value(), 1});
   return *ticket;
 }
 
@@ -196,102 +170,70 @@ chronos::Result<std::uint64_t> RangingSession::submit(
   CHRONOS_EXPECTS(state_ != nullptr, "submit() on an invalid session");
   auto resolved = state_->shared->source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  return submit_resolved(std::move(resolved).value());
+  return submit_group({&resolved.value(), 1});
 }
 
-std::optional<std::uint64_t> RangingSession::try_submit_resolved(
-    const ResolvedRequest& request) {
-  CHRONOS_EXPECTS(state_ != nullptr, "try_submit() on an invalid session");
-  const auto ticket = claim_ticket_if_room();
-  if (!ticket) return std::nullopt;
-  // Local admission: the ticket addresses its own split stream.
-  enqueue_one(*ticket, *ticket, request);
-  return ticket;
+std::uint64_t RangingSession::submit_group(
+    std::span<const ResolvedRequest> requests) {
+  CHRONOS_EXPECTS(state_ != nullptr, "submit_group() on an invalid session");
+  CHRONOS_EXPECTS(!requests.empty(),
+                  "submit_group() needs at least one request");
+  CHRONOS_EXPECTS(requests.size() <= state_->depth,
+                  "group larger than queue depth would never admit");
+  const std::uint64_t first = *claim(requests.size(), /*block=*/true);
+  // Local admission: each ticket addresses its own split stream.
+  dispatch(first, first, requests);
+  return first;
 }
 
-std::optional<std::uint64_t> RangingSession::try_submit_resolved_stream(
+std::optional<std::uint64_t> RangingSession::try_submit_stream(
     const ResolvedRequest& request, std::uint64_t stream_index) {
   CHRONOS_EXPECTS(state_ != nullptr,
-                  "try_submit_resolved_stream() on an invalid session");
-  const auto ticket = claim_ticket_if_room();
+                  "try_submit_stream() on an invalid session");
+  const auto ticket = claim(1, /*block=*/false);
   if (!ticket) return std::nullopt;
   // Sharded admission: the caller owns the global stream space.
-  enqueue_one(*ticket, stream_index, request);
+  dispatch(*ticket, stream_index, {&request, 1});
   return ticket;
 }
 
-std::optional<std::uint64_t> RangingSession::claim_ticket_if_room() {
+std::optional<std::uint64_t> RangingSession::claim(std::size_t count,
+                                                   bool block) {
   auto& shared = *state_->shared;
+  const std::size_t depth = state_->depth;
   // Admission itself is allocation-free (see try_submit): check + ticket
   // claim touch only counters under the lock.
   // lint:region(no-alloc)
   chronos::MutexLock lock(shared.mutex);
-  if (shared.submitted - shared.finished >= state_->depth) {
+  auto room = [&]() CHRONOS_REQUIRES(shared.mutex) {
+    return shared.submitted - shared.finished + count <= depth;
+  };
+  if (block) {
+    shared.cv.wait(shared.mutex, room);
+  } else if (!room()) {
     return std::nullopt;
   }
-  return shared.submitted++;
+  const std::uint64_t first = shared.submitted;
+  shared.submitted += count;
+  return first;
   // lint:endregion(no-alloc)
 }
 
-void RangingSession::enqueue_one(std::uint64_t ticket,
-                                 std::uint64_t stream_index,
-                                 const ResolvedRequest& request) {
-  auto payload = state_->shared;
-  (void)state_->pool->submit([payload, ticket, stream_index, request]() {
-    complete(payload, ticket, range_one(*payload, stream_index, request));
-  });
-}
-
-std::uint64_t RangingSession::submit_resolved(const ResolvedRequest& request) {
-  CHRONOS_EXPECTS(state_ != nullptr, "submit() on an invalid session");
+void RangingSession::dispatch(std::uint64_t first_ticket,
+                              std::uint64_t first_stream,
+                              std::span<const ResolvedRequest> requests) {
   auto& shared = *state_->shared;
-  std::uint64_t ticket = 0;
-  {
-    chronos::MutexLock lock(shared.mutex);
-    shared.cv.wait(shared.mutex, [&]() CHRONOS_REQUIRES(shared.mutex) {
-      return shared.submitted - shared.finished < state_->depth;
-    });
-    ticket = shared.submitted++;
+  if (state_->pool == nullptr) {
+    complete(shared, first_ticket, range_group(shared, first_stream, requests));
+    return;
   }
-  auto payload = state_->shared;
-  (void)state_->pool->submit([payload, ticket, request]() {
-    complete(payload, ticket, range_one(*payload, ticket, request));
-  });
-  return ticket;
-}
-
-std::uint64_t RangingSession::submit_resolved_group(
-    std::span<const ResolvedRequest> requests) {
-  CHRONOS_EXPECTS(state_ != nullptr,
-                  "submit_resolved_group() on an invalid session");
-  CHRONOS_EXPECTS(!requests.empty(),
-                  "submit_resolved_group() needs at least one request");
-  CHRONOS_EXPECTS(requests.size() <= state_->depth,
-                  "group larger than queue depth would never admit");
-  auto& shared = *state_->shared;
-  std::uint64_t first = 0;
-  {
-    chronos::MutexLock lock(shared.mutex);
-    shared.cv.wait(shared.mutex, [&]() CHRONOS_REQUIRES(shared.mutex) {
-      return shared.submitted - shared.finished + requests.size() <=
-             state_->depth;
-    });
-    first = shared.submitted;
-    shared.submitted += requests.size();
-  }
-  auto payload = state_->shared;
-  std::vector<ResolvedRequest> group(requests.begin(), requests.end());
-  (void)state_->pool->submit([payload, first, group = std::move(group)]() {
-    auto results = range_group(*payload, first, group);
-    // Completion happens per ticket (not atomically for the group) so
-    // in-order collectors wake as early as possible; depth accounting only
-    // needs `finished` to be monotone.
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      complete(payload, first + static_cast<std::uint64_t>(j),
-               std::move(results[j]));
-    }
-  });
-  return first;
+  (void)state_->pool->submit(
+      [payload = state_->shared, first_ticket, first_stream,
+       group = std::vector<ResolvedRequest>(requests.begin(),
+                                            requests.end())]() {
+        complete(*payload, first_ticket,
+                 range_group(*payload, first_stream, group));
+      });
 }
 
 std::uint64_t RangingSession::push_failed(chronos::Status status) {
@@ -388,22 +330,9 @@ std::vector<RangingResult> RangingSession::drain() {
 RangingSession open_ranging_session(
     std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
     std::shared_ptr<const RangingPipeline> pipeline,
-    std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-    std::size_t queue_depth, const chronos::RetryPolicy& retry) {
-  // One fork on kBatchStreamTag — the same single rng advancement every
-  // ingestion path performs — then adopt it.
-  return open_ranging_session_sharded(
-      std::move(pool), std::move(source), std::move(pipeline),
-      std::move(calibration), rng.fork(kBatchStreamTag), queue_depth, retry);
-}
-
-RangingSession open_ranging_session_sharded(
-    std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
-    std::shared_ptr<const RangingPipeline> pipeline,
     std::shared_ptr<const CalibrationTable> calibration,
     const mathx::Rng& base_stream, std::size_t queue_depth,
     const chronos::RetryPolicy& retry) {
-  CHRONOS_EXPECTS(pool != nullptr, "a session needs a worker pool");
   CHRONOS_EXPECTS(source != nullptr && pipeline != nullptr &&
                       calibration != nullptr,
                   "a session needs a source, pipeline, and calibration");

@@ -1,22 +1,25 @@
-// Bounded-queue streaming submission onto a persistent worker pool.
+// Ticketed ranging sessions: the one ingestion runtime under measure_batch,
+// submit_batch, open_session, and the chronosd shards.
 //
-// `RangingSession` is the primitive the v2 ingestion surface is built on:
-// requests are admitted one at a time (ticketed 0, 1, 2, ... in submission
-// order), ranged concurrently on the pool, and collected in ticket order.
-// Admission is bounded: at most `queue_depth` tickets may be in flight
-// (admitted but unfinished) at once — `try_submit` reports
-// chronos::kQueueFull immediately (never blocks, never drops silently),
-// `submit` blocks until a worker frees a slot. This is the backpressure
-// story for sustained async submission: a producer that outruns the
-// workers is told so, per request, instead of growing an unbounded queue.
+// `RangingSession`: requests are admitted singly or in groups (ticketed 0,
+// 1, 2, ... in admission order), ranged on a persistent worker pool — or,
+// for a session opened without a pool, on the admitting thread — and
+// collected in ticket order. Admission is bounded: at most `queue_depth`
+// tickets may be in flight (admitted but unfinished) at once —
+// `try_submit` reports chronos::kQueueFull immediately (never blocks,
+// never drops silently), `submit` blocks until a worker frees a slot. This
+// is the backpressure story for sustained async submission: a producer
+// that outruns the workers is told so, per request, instead of growing an
+// unbounded queue. A batch is the same session with no bound: every
+// request admitted up front, then drain().
 //
-// Determinism contract (same as core/batch.hpp, which is now a thin
-// adapter over this class): the session forks the caller's rng ONCE at
-// open; ticket i draws from fork.split(i). A result is therefore a pure
-// function of (source, pipeline, calibration, request, session stream,
-// ticket) — never of queue depth, scheduling, pool size, or collection
-// timing. Submitting a span through a session is bit-identical to
-// run_ranging_batch over the same span on the same rng state.
+// Determinism contract: a session adopts ONE base stream (the caller's rng
+// forked once on kBatchStreamTag); ticket i draws from base.split(i), or
+// from base.split(stream_index) for sharded admission. A result is
+// therefore a pure function of (source, pipeline, calibration, request,
+// base stream, stream index) — never of queue depth, grouping, scheduling,
+// pool size, or collection timing (tests/test_core_batch.cpp is the
+// enforcement).
 //
 // Error model: request-shaped failures never throw. Id-based submissions
 // that fail resolution are rejected synchronously (no ticket consumed);
@@ -44,16 +47,16 @@ namespace chronos::core {
 
 class WorkerPool;
 
-/// fork() tag for a session/batch base stream ("batch" in ASCII). One
-/// shared constant so every ingestion path — sync batch, async batch,
-/// streaming session — advances the caller's rng identically. Defined in
-/// the mathx/stream_tags.hpp registry; this is the layer-local alias.
+/// fork() tag for a session's base stream ("batch" in ASCII). One shared
+/// constant so every ingestion path — batch, async batch, streaming
+/// session, daemon — advances the caller's rng identically. Defined in the
+/// mathx/stream_tags.hpp registry; this is the layer-local alias.
 inline constexpr std::uint64_t kBatchStreamTag = chronos::kBatchStreamTag;
 
 class RangingSession {
  public:
   /// Invalid session; obtain real ones from open_ranging_session or
-  /// ChronosEngine::open_session.
+  /// ChronosEngine::open_session / submit_batch.
   RangingSession() = default;
   RangingSession(RangingSession&&) noexcept = default;
   RangingSession& operator=(RangingSession&&) noexcept = default;
@@ -67,7 +70,7 @@ class RangingSession {
 
   bool valid() const { return state_ != nullptr; }
   std::size_t queue_depth() const;
-  /// Workers available to this session (diagnostics).
+  /// Workers available to this session (1 without a pool; diagnostics).
   int threads() const;
 
   /// Admits `request` if the queue has room NOW: the ticket, or kQueueFull
@@ -84,35 +87,26 @@ class RangingSession {
   [[nodiscard]] chronos::Result<std::uint64_t> submit(
       const chronos::RangingRequest& request);
 
-  /// Pre-resolved admission (the engine/batch adapters): blocking.
-  std::uint64_t submit_resolved(const ResolvedRequest& request);
   /// Pre-resolved admission of a whole group: claims requests.size()
-  /// consecutive tickets and ranges them with ONE pool job that drains the
-  /// group through RangingPipeline::estimate_batch — the multi-RHS FISTA
-  /// panel that shares one solver plan/workspace across the group instead
-  /// of paying per-request solve setup. Every ticket's result is
-  /// bit-identical to submitting the same request through submit_resolved
-  /// (grouping is purely an amortisation; the determinism contract is
-  /// untouched). Blocks until the queue has room for the whole group;
-  /// `requests` must be non-empty and no larger than queue_depth().
-  /// Returns the first ticket (the group's tickets are consecutive).
-  std::uint64_t submit_resolved_group(
-      std::span<const ResolvedRequest> requests);
-  /// Pre-resolved admission: non-blocking; nullopt when the queue is full.
-  std::optional<std::uint64_t> try_submit_resolved(
-      const ResolvedRequest& request);
+  /// consecutive tickets and ranges them as ONE job that drains the group
+  /// through RangingPipeline::estimate_batch — the multi-RHS FISTA panel
+  /// that shares one solver plan/workspace across the group instead of
+  /// paying per-request solve setup. Grouping is purely an amortisation:
+  /// every ticket's result is bit-identical to admitting it alone. Blocks
+  /// until the queue has room for the whole group; `requests` must be
+  /// non-empty and no larger than queue_depth(). Returns the first ticket.
+  std::uint64_t submit_group(std::span<const ResolvedRequest> requests);
 
-  /// Sharded admission (the netd daemon's seam): like try_submit_resolved,
-  /// but the admitted ticket draws from base.split(stream_index) instead
-  /// of its own local ticket index. Several shard sessions opened with
-  /// open_ranging_session_sharded over ONE shared base stream can then
-  /// serve one GLOBAL ticket space: whichever shard a request lands on,
-  /// its result is the same pure function of (source, pipeline,
-  /// calibration, request, base.split(stream_index)) the in-process batch
-  /// computes for ticket stream_index — the property the daemon's
-  /// wire-determinism test pins. Returns the LOCAL ticket (what next()/
-  /// drain() order follows), or nullopt when the queue is full.
-  std::optional<std::uint64_t> try_submit_resolved_stream(
+  /// Sharded admission (the netd daemon's seam): non-blocking; the
+  /// admitted ticket draws from base.split(stream_index) instead of its own
+  /// local ticket index. Several shard sessions opened over ONE shared base
+  /// stream can then serve one GLOBAL ticket space: whichever shard a
+  /// request lands on, its result is the same pure function of (source,
+  /// pipeline, calibration, request, base.split(stream_index)) the
+  /// in-process batch computes for ticket stream_index — the property the
+  /// daemon's wire-determinism test pins. Returns the LOCAL ticket (what
+  /// next()/drain() order follows), or nullopt when the queue is full.
+  std::optional<std::uint64_t> try_submit_stream(
       const ResolvedRequest& request, std::uint64_t stream_index);
 
   /// Claims the next ticket for a request that failed before admission
@@ -141,59 +135,48 @@ class RangingSession {
       std::shared_ptr<WorkerPool> pool,
       std::shared_ptr<const SweepSource> source,
       std::shared_ptr<const RangingPipeline> pipeline,
-      std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-      std::size_t queue_depth, const chronos::RetryPolicy& retry);
-  friend RangingSession open_ranging_session_sharded(
-      std::shared_ptr<WorkerPool> pool,
-      std::shared_ptr<const SweepSource> source,
-      std::shared_ptr<const RangingPipeline> pipeline,
       std::shared_ptr<const CalibrationTable> calibration,
       const mathx::Rng& base_stream, std::size_t queue_depth,
       const chronos::RetryPolicy& retry);
 
-  /// Non-blocking ticket claim: the next local ticket, or nullopt when
-  /// in-flight work already fills the queue. Allocation-free.
-  std::optional<std::uint64_t> claim_ticket_if_room();
-  /// Enqueues one pool job ranging `request` on base.split(stream_index),
-  /// completing local `ticket`.
-  void enqueue_one(std::uint64_t ticket, std::uint64_t stream_index,
-                   const ResolvedRequest& request);
+  /// The one ticket claim: `count` consecutive local tickets, waiting for
+  /// room when `block`, else nullopt when in-flight work leaves too little.
+  /// Allocation-free.
+  std::optional<std::uint64_t> claim(std::size_t count, bool block);
+  /// Ranges `requests` as tickets first_ticket.. on streams
+  /// base.split(first_stream + j): one pool job, or inline without a pool.
+  void dispatch(std::uint64_t first_ticket, std::uint64_t first_stream,
+                std::span<const ResolvedRequest> requests);
 
   struct State;
   std::shared_ptr<State> state_;
 };
 
-/// Opens a session: forks `rng` once (kBatchStreamTag) and shares ownership
-/// of everything a job touches, so the session — like a BatchHandle — stays
-/// collectable after the issuing engine dies. `queue_depth >= 1`.
-/// `retry` bounds per-ticket re-ranging of retryable failures
-/// (core/retry.hpp); the default {1} keeps the pre-retry behaviour.
+/// Opens a session that ADOPTS `base_stream`, an already-forked base —
+/// callers fork their rng exactly once, `rng.fork(kBatchStreamTag)`, the
+/// same single advancement on every ingestion path. The daemon hands copies
+/// of one base to every shard session, so per-ticket streams are shared
+/// across shards and addressed globally via try_submit_stream.
+///
+/// The session shares ownership of everything a job touches, so it stays
+/// collectable after the issuing engine dies. `pool == nullptr` runs each
+/// job on the admitting thread before admission returns (the inline path of
+/// a one-thread batch, and what keeps nested batches off a busy pool).
+/// `queue_depth >= 1`. `retry` bounds per-ticket re-ranging of retryable
+/// failures (core/retry.hpp); the default {1} keeps the pre-retry
+/// behaviour.
 RangingSession open_ranging_session(
-    std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
-    std::shared_ptr<const RangingPipeline> pipeline,
-    std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-    std::size_t queue_depth, const chronos::RetryPolicy& retry = {});
-
-/// Shard-seam variant: ADOPTS an already-forked batch base stream instead
-/// of forking the caller's rng. The caller (the netd daemon) forks its rng
-/// exactly once — `rng.fork(kBatchStreamTag)`, the same single advancement
-/// every other ingestion path performs — and hands copies of that base to
-/// every shard session, so per-ticket streams are shared across shards and
-/// addressed globally via try_submit_resolved_stream. Plain submissions
-/// (try_submit/submit/submit_resolved*) still work on such a session and
-/// draw from base.split(local ticket).
-RangingSession open_ranging_session_sharded(
     std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
     std::shared_ptr<const RangingPipeline> pipeline,
     std::shared_ptr<const CalibrationTable> calibration,
     const mathx::Rng& base_stream, std::size_t queue_depth,
     const chronos::RetryPolicy& retry = {});
 
-/// Group size the ingestion adapters use when draining `n_requests`
-/// through multi-RHS solves on `threads` workers. Large groups amortise
-/// per-request solve setup; small groups keep every worker busy. Inline
-/// (`threads <= 1`) runs take the full multi-RHS width; parallel runs cap
-/// the group so at least ~4 groups land on every worker for load balance.
+/// Group size a batch uses when draining `n_requests` through multi-RHS
+/// solves on `threads` workers. Large groups amortise per-request solve
+/// setup; small groups keep every worker busy. Inline (`threads <= 1`)
+/// runs take the full multi-RHS width; parallel runs cap the group so at
+/// least ~4 groups land on every worker for load balance.
 std::size_t ranging_solve_group(std::size_t n_requests, std::size_t threads);
 
 }  // namespace chronos::core

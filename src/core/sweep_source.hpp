@@ -8,8 +8,8 @@
 // chronos::NodeRegistry directory, (b) resolves id-based public requests
 // into backend-internal ResolvedRequests, and (c) yields the calibrated
 // per-band sweep for one resolved request, with all randomness drawn from
-// the caller's rng so the batched runtime's determinism contract
-// (core/batch.hpp) holds for every backend.
+// the caller's rng so the ranging runtime's determinism contract
+// (core/session.hpp) holds for every backend.
 //
 // Error model (API v2): request-shaped failures — unknown node, antenna out
 // of range, unrecorded trace link, band mismatch — are reported as

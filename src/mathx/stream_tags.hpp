@@ -1,6 +1,6 @@
 // Canonical registry of RNG stream-split tags.
 //
-// The determinism contract (core/batch.hpp, PR 2) makes every result a
+// The determinism contract (core/session.hpp) makes every result a
 // pure function of (source, pipeline, calibration, request, rng stream).
 // Subsystems derive private child streams with `mathx::Rng::split(tag)` /
 // `fork(tag)`; two subsystems splitting the SAME parent stream on the
@@ -36,12 +36,10 @@ namespace chronos {
 // lint:stream-tag-registry-begin  (everything between the begin/end
 // markers is parsed by check_stream_tags.py; keep one tag per line)
 
-/// "batch" in ASCII. fork() tag of a session/batch base stream: every
-/// ingestion path — sync batch (core/batch.cpp), async batch, streaming
-/// session (core/session.cpp) — advances the caller's rng by exactly one
-/// fork on this tag, so all three are interchangeable bit-for-bit.
-/// Provenance: PR 2 (`run_ranging_batch`), hoisted to core/session.hpp in
-/// PR 5, registry since PR 9.
+/// "batch" in ASCII. fork() tag of a session's base stream: every
+/// ingestion path — batch, async batch, streaming session, daemon (all
+/// core/session.cpp sessions) — advances the caller's rng by exactly one
+/// fork on this tag, so they are interchangeable bit-for-bit.
 inline constexpr std::uint64_t kBatchStreamTag = 0x6261746368ull;  // lint:stream-tag(range=1)
 
 /// "fault" in ASCII. split() tag of the per-request fault stream: every

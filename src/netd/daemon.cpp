@@ -42,7 +42,7 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
     // and per-worker workspaces, so shards never contend on solve state.
     shard.pipeline = std::make_shared<const core::RangingPipeline>(
         source_->bands(), shard_config);
-    shard.session = core::open_ranging_session_sharded(
+    shard.session = core::open_ranging_session(
         shard.pool, source_, shard.pipeline, calibration_, base,
         options.shard_queue_depth, options.retry);
     shards_.push_back(std::move(shard));
@@ -122,8 +122,8 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
       }
 
       const std::optional<std::uint64_t> local =
-          shard.session.try_submit_resolved_stream(resolved.value(),
-                                                   next_global_ticket_);
+          shard.session.try_submit_stream(resolved.value(),
+                                          next_global_ticket_);
       if (!local.has_value()) {
         // Backpressure: immediate kQueueFull reply, NO global ticket — a
         // resubmission is admitted later exactly as a later arrival.

@@ -15,7 +15,7 @@
 // copies of that base stream to every shard session. Admission order on
 // the single demux thread assigns each admitted request a dense GLOBAL
 // ticket g, and the routed shard ranges it on base.split(g) via
-// try_submit_resolved_stream. Whatever the shard count, client count, or
+// try_submit_stream. Whatever the shard count, client count, or
 // kQueueFull retry interleaving, the results the daemon sends are
 // bit-identical to Engine::measure_batch(admitted_requests()) on the same
 // starting rng state.

@@ -315,11 +315,11 @@ TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
 
     // Same contract on the async path.
     mathx::Rng rng_async(21);
-    auto handle = eng.submit_batch(with_bad, rng_async, BatchOptions{threads});
-    const auto async = handle.get();
-    ASSERT_EQ(async.results.size(), 3u);
+    const auto async =
+        eng.submit_batch(with_bad, rng_async, BatchOptions{threads}).drain();
+    ASSERT_EQ(async.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
-      expect_bitwise_equal(async.results[i], mixed.results[i]);
+      expect_bitwise_equal(async[i], mixed.results[i]);
     }
   }
 }

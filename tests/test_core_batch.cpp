@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/fault_injection.hpp"
+#include "core/retry.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
 
@@ -108,6 +110,67 @@ TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     expect_bitwise_equal(batch.results[i], again.results[i]);
   }
+
+  // Second input, against an oracle that never opens a session: a hand
+  // loop of range_with_retries on base.split(i). Id-based requests through
+  // a fault-injecting backend with retries, and one unresolvable request
+  // at slot 4 — interior to its solve group at every thread count (48
+  // requests: groups of 8, 6, and 3 at 1, 2, and 4 threads), so the group
+  // is split around it.
+  constexpr std::size_t kLinks = 48;
+  constexpr std::size_t kBad = 4;
+  auto inner =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_config().link);
+  inner->add_node(chronos::NodeId{1}, sim::make_laptop({12.0, 9.0}, 0.3, 77));
+  std::vector<chronos::RangingRequest> ids;
+  for (std::size_t i = 0; i < kLinks; ++i) {
+    const chronos::NodeId tx{100 + i};
+    const double x = 2.0 + 0.7 * static_cast<double>(i % 11);
+    const double y = 2.0 + 0.5 * static_cast<double>(i % 7);
+    inner->add_node(tx, sim::make_mobile({x, y}, 100 + i));
+    ids.push_back({{tx, 0}, {chronos::NodeId{1}, i % 3}});
+  }
+  ids[kBad].tx.node = chronos::NodeId{9999};  // never registered
+  FaultProfile faults = FaultProfile::hostile(0.05);
+  faults.p_outage = 0.3;  // retryable: makes the retry ladder run
+  const ChronosEngine faulty(
+      std::make_shared<FaultInjectingSweepSource>(inner, faults),
+      fast_config());
+  const chronos::RetryPolicy retry{3, 0.0};
+
+  mathx::Rng rng_oracle(321);
+  const mathx::Rng base = rng_oracle.fork(kBatchStreamTag);
+  std::vector<RangingResult> oracle(kLinks);
+  std::size_t retried = 0;
+  for (std::size_t i = 0; i < kLinks; ++i) {
+    const auto resolved = faulty.source().resolve(ids[i]);
+    if (!resolved.ok()) {
+      oracle[i].status = resolved.status();
+      continue;
+    }
+    oracle[i] = range_with_retries(faulty.source(), faulty.pipeline(),
+                                   faulty.calibration(), resolved.value(),
+                                   base.split(i), retry);
+    retried += oracle[i].attempts > 1 ? 1 : 0;
+  }
+  ASSERT_EQ(oracle[kBad].status.code(), chronos::StatusCode::kUnknownNode);
+  ASSERT_GE(retried, 1u) << "fixture never retried";
+
+  auto expect_oracle = [&](const std::vector<RangingResult>& got) {
+    ASSERT_EQ(got.size(), kLinks);
+    for (std::size_t i = 0; i < kLinks; ++i) {
+      EXPECT_EQ(got[i].attempts, oracle[i].attempts) << "slot " << i;
+      expect_bitwise_equal(got[i], oracle[i]);
+    }
+  };
+  for (const int threads : {1, 2, 4}) {
+    mathx::Rng rng(321);
+    expect_oracle(
+        faulty.measure_batch(ids, rng, BatchOptions{threads, retry}).results);
+  }
+  mathx::Rng rng_async(321);
+  expect_oracle(
+      faulty.submit_batch(ids, rng_async, BatchOptions{4, retry}).drain());
 }
 
 TEST(BatchDeterminism, SuccessiveBatchesDiffer) {
@@ -145,10 +208,10 @@ TEST(BatchDeterminism, BadRequestYieldsStatusNotAbort) {
   EXPECT_TRUE(batch.results[0].peak_found);
 }
 
-TEST(BatchSession, SubmitGetMatchesSynchronousMeasureBatch) {
-  // The async path (submit_batch -> BatchHandle::get) must be bit-identical
-  // to the synchronous call on the same seed — including how far it
-  // advances the caller's rng.
+TEST(BatchSession, SubmitDrainMatchesSynchronousMeasureBatch) {
+  // The async path (submit_batch -> RangingSession::drain) must be
+  // bit-identical to the synchronous call on the same seed — including how
+  // far it advances the caller's rng.
   const ChronosEngine eng(sim::office_20x20(), fast_config());
   const auto requests = make_requests(8);
 
@@ -156,23 +219,23 @@ TEST(BatchSession, SubmitGetMatchesSynchronousMeasureBatch) {
   const auto sync = eng.measure_batch(requests, rng_sync, BatchOptions{1});
 
   mathx::Rng rng_async(77);
-  auto handle = eng.submit_batch(requests, rng_async, BatchOptions{4});
-  EXPECT_TRUE(handle.valid());
-  EXPECT_EQ(handle.size(), requests.size());
-  const auto async = handle.get();
-  EXPECT_FALSE(handle.valid());
+  auto session = eng.submit_batch(requests, rng_async, BatchOptions{4});
+  EXPECT_TRUE(session.valid());
+  EXPECT_EQ(session.submitted(), requests.size());
+  const auto async = session.drain();
+  EXPECT_EQ(session.collected(), requests.size());
 
-  ASSERT_EQ(async.results.size(), sync.results.size());
-  for (std::size_t i = 0; i < async.results.size(); ++i) {
-    expect_bitwise_equal(async.results[i], sync.results[i]);
+  ASSERT_EQ(async.size(), sync.results.size());
+  for (std::size_t i = 0; i < async.size(); ++i) {
+    expect_bitwise_equal(async[i], sync.results[i]);
   }
   EXPECT_EQ(rng_sync.uniform(0.0, 1.0), rng_async.uniform(0.0, 1.0));
 }
 
-TEST(BatchSession, OutstandingHandlesCollectInAnyOrder) {
+TEST(BatchSession, OutstandingSessionsCollectInAnyOrder) {
   // Pipelined ingestion: several batches in flight at once, collected in
   // reverse submission order, each bit-identical to its sequential
-  // reference. The handles all share the engine's persistent pool.
+  // reference. The sessions all share the engine's persistent pool.
   const ChronosEngine eng(sim::office_20x20(), fast_config());
   constexpr std::size_t kBatches = 3;
 
@@ -185,16 +248,16 @@ TEST(BatchSession, OutstandingHandlesCollectInAnyOrder) {
         eng.measure_batch(requests[b], rng, BatchOptions{1}));
   }
 
-  std::vector<BatchHandle> handles;
+  std::vector<RangingSession> sessions;
   for (std::size_t b = 0; b < kBatches; ++b) {
     mathx::Rng rng(1000 + b);
-    handles.push_back(eng.submit_batch(requests[b], rng, BatchOptions{2}));
+    sessions.push_back(eng.submit_batch(requests[b], rng, BatchOptions{2}));
   }
   for (std::size_t b = kBatches; b-- > 0;) {
-    const auto out = handles[b].get();
-    ASSERT_EQ(out.results.size(), reference[b].results.size());
-    for (std::size_t i = 0; i < out.results.size(); ++i) {
-      expect_bitwise_equal(out.results[i], reference[b].results[i]);
+    const auto out = sessions[b].drain();
+    ASSERT_EQ(out.size(), reference[b].results.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      expect_bitwise_equal(out[i], reference[b].results[i]);
     }
   }
 }
@@ -218,27 +281,28 @@ TEST(BatchSession, PersistentPoolStartsLazilyAndNeverShrinks) {
   EXPECT_EQ(eng.session_threads(), 5u);  // growth by replacement
 }
 
-TEST(BatchSession, HandleWaitAndReadyObserveCompletion) {
+TEST(BatchSession, WaitAllAndAllDoneObserveCompletion) {
   const ChronosEngine eng(sim::office_20x20(), fast_config());
   const auto requests = make_requests(4);
   mathx::Rng rng(21);
-  auto handle = eng.submit_batch(requests, rng, BatchOptions{2});
-  handle.wait();
-  EXPECT_TRUE(handle.ready());
-  const auto out = handle.get();
-  EXPECT_EQ(out.results.size(), requests.size());
-  EXPECT_GE(out.threads_used, 1);
+  auto session = eng.submit_batch(requests, rng, BatchOptions{2});
+  session.wait_all();
+  EXPECT_TRUE(session.all_done());
+  const auto out = session.drain();
+  EXPECT_EQ(out.size(), requests.size());
+  EXPECT_GE(session.threads(), 1);
 }
 
-TEST(BatchSession, DroppedHandleIsSafe) {
-  // Destroying a handle without get() must not crash, deadlock, or disturb
-  // later batches (jobs finish against the shared pool and are dropped).
+TEST(BatchSession, DroppedSessionIsSafe) {
+  // Destroying a session without drain() must not crash, deadlock, or
+  // disturb later batches (jobs finish against the shared pool and are
+  // dropped).
   const ChronosEngine eng(sim::office_20x20(), fast_config());
   const auto requests = make_requests(5);
   {
     mathx::Rng rng(33);
-    auto handle = eng.submit_batch(requests, rng, BatchOptions{2});
-    (void)handle;
+    auto session = eng.submit_batch(requests, rng, BatchOptions{2});
+    (void)session;
   }
   mathx::Rng rng_seq(34);
   const auto sequential = eng.measure_batch(requests, rng_seq, BatchOptions{1});
@@ -249,40 +313,39 @@ TEST(BatchSession, DroppedHandleIsSafe) {
   }
 }
 
-TEST(BatchSession, HandleOutlivesEngine) {
-  // Handles are self-contained: they co-own the pool, source, pipeline,
+TEST(BatchSession, SessionOutlivesEngine) {
+  // Sessions are self-contained: they co-own the pool, source, pipeline,
   // and calibration, so collecting after the engine died is legal and
   // bit-identical.
   const auto requests = make_requests(4);
-  BatchHandle handle;
+  RangingSession session;
   BatchResult reference;
   {
     const ChronosEngine eng(sim::office_20x20(), fast_config());
     mathx::Rng rng_ref(55);
     reference = eng.measure_batch(requests, rng_ref, BatchOptions{1});
     mathx::Rng rng(55);
-    handle = eng.submit_batch(requests, rng, BatchOptions{2});
+    session = eng.submit_batch(requests, rng, BatchOptions{2});
   }  // engine destroyed while the batch may still be in flight
-  const auto out = handle.get();
-  ASSERT_EQ(out.results.size(), reference.results.size());
-  for (std::size_t i = 0; i < out.results.size(); ++i) {
-    expect_bitwise_equal(out.results[i], reference.results[i]);
+  const auto out = session.drain();
+  ASSERT_EQ(out.size(), reference.results.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    expect_bitwise_equal(out[i], reference.results[i]);
   }
 }
 
-TEST(BatchSession, AsyncBadRequestSurfacesAsStatusAtGet) {
+TEST(BatchSession, AsyncBadRequestSurfacesAsStatusAtDrain) {
   const ChronosEngine eng(sim::anechoic(), fast_config());
   std::vector<ResolvedRequest> requests = make_requests(3);
   requests[1].tx_antenna = 99;  // out of range -> status, not a throw
   mathx::Rng rng(1);
-  auto handle = eng.submit_batch(requests, rng, BatchOptions{2});
-  const auto out = handle.get();
-  EXPECT_FALSE(handle.valid());
-  ASSERT_EQ(out.results.size(), requests.size());
-  EXPECT_TRUE(out.results[0].status.ok());
-  EXPECT_EQ(out.results[1].status.code(),
-            chronos::StatusCode::kAntennaOutOfRange);
-  EXPECT_TRUE(out.results[2].status.ok());
+  auto session = eng.submit_batch(requests, rng, BatchOptions{2});
+  const auto out = session.drain();
+  EXPECT_EQ(session.collected(), requests.size());
+  ASSERT_EQ(out.size(), requests.size());
+  EXPECT_TRUE(out[0].status.ok());
+  EXPECT_EQ(out[1].status.code(), chronos::StatusCode::kAntennaOutOfRange);
+  EXPECT_TRUE(out[2].status.ok());
 }
 
 TEST(BatchDeterminism, LocateBatchIsThreadCountInvariant) {

@@ -207,11 +207,11 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
   BatchOptions async_opts{4};
   async_opts.retry = {3, 0.0};
   mathx::Rng rng_async(42);
-  auto handle = eng.submit_batch(requests, rng_async, async_opts);
-  const auto async = handle.get();
-  ASSERT_EQ(async.results.size(), sequential.results.size());
-  for (std::size_t i = 0; i < async.results.size(); ++i) {
-    expect_bitwise_equal(async.results[i], sequential.results[i]);
+  const auto async =
+      eng.submit_batch(requests, rng_async, async_opts).drain();
+  ASSERT_EQ(async.size(), sequential.results.size());
+  for (std::size_t i = 0; i < async.size(); ++i) {
+    expect_bitwise_equal(async[i], sequential.results[i]);
   }
 }
 

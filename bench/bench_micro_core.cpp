@@ -116,30 +116,10 @@ const std::vector<MicroKernel>& kernels() {
                     return solver->solve_ista(h).residual_norm;
                   }});
 
-    // Gradient-arm ablation at the default 35x1201 problem. fista_solve
-    // above runs the production kAuto cost model; kDense pins the legacy
-    // fused forward/adjoint (the golden numerics); kToeplitzFft forces the
-    // FFT convolution arm — at 35 rows the dense adjoint is cheaper, so
-    // this one is a correctness/measurement mode, not a speedup (the
-    // crossover sits near 72 rows at m = 1201).
-    core::IstaOptions dense_opts;
-    dense_opts.gradient = core::IstaOptions::GradientMode::kDense;
-    core::IstaOptions fft_opts;
-    fft_opts.gradient = core::IstaOptions::GradientMode::kToeplitzFft;
-    ks.push_back({"BM_FistaSolveDense", "fista_solve_dense",
-                  [solver, h, dense_opts] {
-                    return solver->solve_fista(h, dense_opts).residual_norm;
-                  }});
-    ks.push_back({"BM_FistaSolveFft", "fista_solve_fft",
-                  [solver, h, fft_opts] {
-                    return solver->solve_fista(h, fft_opts).residual_norm;
-                  }});
-
-    // Multi-RHS batched solve vs the PR 3-style sequential loop it
-    // replaces: 8 distinct channels, both reported as ns per RHS.
-    // fista_seq_per_rhs is the honest comparator — a dense-path
-    // solve_fista per request, i.e. the per-request cost the batched path
-    // (shared plan/workspace + kAuto arms) eliminates.
+    // Multi-RHS batched solve vs the sequential loop it replaces: 8
+    // distinct channels, both reported as ns per RHS. fista_seq_per_rhs is
+    // one standalone solve_fista per request, i.e. the per-request cost
+    // the batched path (one shared plan and workspace) amortises.
     const auto hs_owned = batch_channels(8);
     ks.push_back({"BM_FistaBatchPerRhs", "fista_batch_per_rhs",
                   [solver, hs_owned] {
@@ -154,11 +134,10 @@ const std::vector<MicroKernel>& kernels() {
                   },
                   8.0});
     ks.push_back({"BM_FistaSeqPerRhs", "fista_seq_per_rhs",
-                  [solver, hs_owned, dense_opts] {
+                  [solver, hs_owned] {
                     double acc = 0.0;
                     for (const auto& h_k : hs_owned) {
-                      acc += solver->solve_fista(h_k, dense_opts)
-                                 .residual_norm;
+                      acc += solver->solve_fista(h_k).residual_norm;
                     }
                     return acc;
                   },

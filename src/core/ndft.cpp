@@ -48,28 +48,17 @@ double residual_norm_active(const NdftPlan& plan, NdftWorkspace& ws) {
   return std::sqrt(acc);
 }
 
-/// One gradient evaluation at (y_re, y_im), routed per IstaOptions mode.
-/// ws.active must list y's nonzero columns and ws.b must hold F^H h (the
-/// Toeplitz arms consume it; the dense arm ignores it).
-void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
-                       const double* y_re, const double* y_im,
-                       NdftWorkspace& ws) {
-  using Mode = IstaOptions::GradientMode;
-  using Arm = NdftPlan::GradientArm;
-  Arm arm = Arm::kDense;
-  if (mode == Mode::kAuto) {
-    arm = plan.pick_arm(ws.active.size());
-  } else if (mode == Mode::kToeplitzFft && plan.toeplitz_capable()) {
-    arm = Arm::kConv;
-  }
-  switch (arm) {
-    case Arm::kScatter:
+/// One gradient evaluation at (y_re, y_im) by the arm the plan's cost model
+/// picks for the current active-set size. ws.active must list y's nonzero
+/// columns and ws.b must hold F^H h (the scatter arm consumes it; the dense
+/// arm ignores it).
+void dispatch_gradient(const NdftPlan& plan, const double* y_re,
+                       const double* y_im, NdftWorkspace& ws) {
+  switch (plan.pick_arm(ws.active.size())) {
+    case NdftPlan::GradientArm::kScatter:
       plan.gradient_toeplitz_scatter(y_re, y_im, ws);
       break;
-    case Arm::kConv:
-      plan.gradient_toeplitz_fft(y_re, y_im, ws);
-      break;
-    case Arm::kDense:
+    case NdftPlan::GradientArm::kDense:
       plan.gradient(y_re, y_im, ws);
       break;
   }
@@ -106,8 +95,7 @@ double NdftSolver::effective_alpha(NdftWorkspace& ws,
   // Scale-free knob: alpha relative to the strongest matched-filter
   // response max|F^H h| (the largest gradient magnitude at p = 0). The
   // caller has already computed F^H h into ws.b — the same vector the
-  // Toeplitz gradient arms consume — so alpha is bit-identical across
-  // gradient modes and costs no extra adjoint.
+  // scatter gradient arm consumes — so alpha costs no extra adjoint.
   // Argmax over squared magnitudes (|.| is monotone in |.|^2), then a single
   // exact std::abs at the winner — same peak value as the legacy per-element
   // std::abs pass without thousands of hypot calls.
@@ -197,79 +185,7 @@ SparseSolveResult NdftSolver::solve_ista(
 SparseSolveResult NdftSolver::solve_ista(
     std::span<const std::complex<double>> h, const IstaOptions& opts,
     NdftWorkspace& ws) const {
-  const NdftPlan& plan = *plan_;
-  const std::size_t n = plan.rows();
-  const std::size_t m = plan.cols();
-  CHRONOS_EXPECTS(h.size() == n, "channel vector/row count mismatch");
-
-  ws.bind(n, m);
-  split_into(h, ws.h_re, ws.h_im);
-  // b = F^H h: the fixed linear term of the Toeplitz gradient arms AND the
-  // argmax source for the relative-alpha knob — one adjoint serves both.
-  plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
-               ws.b_im.data());
-  const double alpha = effective_alpha(ws, opts);
-  const double h_norm = mathx::norm2(h);
-  const double tol = opts.epsilon * std::max(h_norm, 1e-30);
-  const double gamma = plan.gamma();
-  const double thr = gamma * alpha;
-  const double thr_sq = thr * thr;
-
-  SparseSolveResult out;
-  out.grid = plan.grid();
-  std::fill(ws.p_re.begin(), ws.p_re.end(), 0.0);
-  std::fill(ws.p_im.begin(), ws.p_im.end(), 0.0);
-  ws.active.clear();
-
-  // Everything inside this loop works on workspace buffers: no allocation
-  // per iteration (tests/test_core_ndft_kernels.cpp counts at runtime;
-  // scripts/lint/check_noalloc.py bans allocating constructs in this
-  // region at lint time).
-  // lint:region(no-alloc)
-  for (int t = 0; t < opts.max_iterations; ++t) {
-    // Gradient step on ||h - F p||^2: p - gamma * F^H (F p - h), evaluated
-    // by whichever arm the options/cost model select (the Toeplitz arms
-    // exploit p's sparsity via ws.active, tracked below).
-    dispatch_gradient(plan, opts.gradient, ws.p_re.data(), ws.p_im.data(),
-                      ws);
-
-    // Fused update + SPARSIFY + convergence accumulation, one pass over the
-    // grid. Also rebuilds the active set for the next iteration's forward.
-    double diff_sq = 0.0;
-    ws.active.clear();
-    for (std::size_t k = 0; k < m; ++k) {
-      const double pr = ws.p_re[k] - gamma * ws.grad_re[k];
-      const double pi = ws.p_im[k] - gamma * ws.grad_im[k];
-      double nr = 0.0;
-      double ni = 0.0;
-      const double msq = pr * pr + pi * pi;
-      if (msq > thr_sq) {
-        const double mag = std::sqrt(msq);
-        const double scale = (mag - thr) / mag;
-        nr = pr * scale;
-        ni = pi * scale;
-        if (nr != 0.0 || ni != 0.0) {
-          // lint:allow(no-alloc): ws.active is reserved to cols at bind()
-          ws.active.push_back(static_cast<std::uint32_t>(k));
-        }
-      }
-      const double dr = nr - ws.p_re[k];
-      const double di = ni - ws.p_im[k];
-      diff_sq += dr * dr + di * di;
-      ws.p_re[k] = nr;
-      ws.p_im[k] = ni;
-    }
-    out.iterations = t + 1;
-    if (std::sqrt(diff_sq) < tol) {
-      out.converged = true;
-      break;
-    }
-  }
-  // lint:endregion(no-alloc)
-
-  out.residual_norm = residual_norm_active(plan, ws);
-  out.coefficients = merge_planes(ws.p_re, ws.p_im);
-  return out;
+  return solve_proximal(h, opts, ws, /*momentum=*/false);
 }
 
 SparseSolveResult NdftSolver::solve_fista(
@@ -280,6 +196,12 @@ SparseSolveResult NdftSolver::solve_fista(
 SparseSolveResult NdftSolver::solve_fista(
     std::span<const std::complex<double>> h, const IstaOptions& opts,
     NdftWorkspace& ws) const {
+  return solve_proximal(h, opts, ws, /*momentum=*/true);
+}
+
+SparseSolveResult NdftSolver::solve_proximal(
+    std::span<const std::complex<double>> h, const IstaOptions& opts,
+    NdftWorkspace& ws, bool momentum) const {
   const NdftPlan& plan = *plan_;
   const std::size_t n = plan.rows();
   const std::size_t m = plan.cols();
@@ -287,7 +209,7 @@ SparseSolveResult NdftSolver::solve_fista(
 
   ws.bind(n, m);
   split_into(h, ws.h_re, ws.h_im);
-  // b = F^H h: the fixed linear term of the Toeplitz gradient arms AND the
+  // b = F^H h: the fixed linear term of the scatter gradient arm AND the
   // argmax source for the relative-alpha knob — one adjoint serves both.
   plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
                ws.b_im.data());
@@ -307,23 +229,22 @@ SparseSolveResult NdftSolver::solve_fista(
   ws.active.clear();  // tracks the extrapolated point y's nonzeros
   double t_momentum = 1.0;
 
-  // Allocation-free loop (see the ISTA comment); the gradient is taken at
-  // the extrapolated point y, whose support ws.active tracks. Shrinkage,
-  // momentum extrapolation, convergence accumulation, and the active-set
-  // rebuild are fused into ONE pass over the grid: reading p[k] (still the
-  // previous iterate) before overwriting it removes the p_prev planes and
-  // a whole O(m) pass per iteration, with per-component operations and
-  // order identical to the historical two-pass body — bit-identical
-  // results (the momentum scalars t_next/beta never depend on the pass
-  // structure).
+  // Everything inside this loop works on workspace buffers: no allocation
+  // per iteration (tests/test_core_ndft_kernels.cpp counts at runtime;
+  // scripts/lint/check_noalloc.py bans allocating constructs in this
+  // region at lint time). The gradient is taken at the extrapolated point
+  // y, whose support ws.active tracks. Shrinkage, momentum extrapolation,
+  // convergence accumulation, and the active-set rebuild are fused into
+  // ONE pass over the grid: reading p[k] (still the previous iterate)
+  // before overwriting it needs no p_prev planes. With momentum off, beta
+  // is exactly 0.0, so y equals p and the loop is the paper's ISTA.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
-    dispatch_gradient(plan, opts.gradient, ws.y_re.data(), ws.y_im.data(),
-                      ws);
+    dispatch_gradient(plan, ws.y_re.data(), ws.y_im.data(), ws);
 
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
-    const double beta = (t_momentum - 1.0) / t_next;
+    const double beta = momentum ? (t_momentum - 1.0) / t_next : 0.0;
     double diff_sq = 0.0;
     ws.active.clear();
     for (std::size_t k = 0; k < m; ++k) {
@@ -388,11 +309,11 @@ std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
   std::vector<SparseSolveResult> out;
   out.reserve(hs.size());
   // Shared plan + ONE shared workspace: after the first column the
-  // iteration loops run allocation-free and every plan-level
-  // precomputation (SoA planes, Toeplitz kernel, circulant spectrum, FFT
-  // twiddles) stays hot across the panel. Per-column arithmetic stays
-  // sequential on purpose: lane-interleaved SoA panels through the same
-  // kernels were measured 2-15x SLOWER per RHS at baseline ISA (the
+  // iteration loop runs allocation-free and every plan-level
+  // precomputation (SoA planes, Toeplitz kernel window) stays hot across
+  // the panel. Per-column arithmetic stays sequential on purpose:
+  // lane-interleaved SoA panels through the same kernels were measured
+  // 2-15x SLOWER per RHS at baseline ISA (the
   // per-column kernels already run at SSE2 compute peak out of L2, and
   // interleaving wrecks both the unit stride and the per-column active-set
   // sparsity). Every buffer a solve reads is fully (re)initialised per

@@ -11,7 +11,10 @@
 // followed by complex soft-thresholding (the paper's SPARSIFY).
 //
 // Extensions beyond the paper, used by the ablation benches:
-//  * FISTA — Nesterov-accelerated variant, typically ~10x fewer iterations;
+//  * FISTA — the same iteration plus a Nesterov momentum step (about 2x
+//    fewer iterations: 192 vs 430 on the Fig-4 channel at alpha = 0.2,
+//    bench_ablation_solvers). ISTA and FISTA share one loop; ISTA runs it
+//    with the momentum step off.
 //  * OMP   — greedy orthogonal matching pursuit, a classic sparse baseline.
 //
 // Performance: all solver entry points run on the structure-exploiting
@@ -43,23 +46,6 @@ struct IstaOptions {
   /// Convergence: stop when ||p_{t+1} - p_t||_2 < epsilon * ||h||_2.
   double epsilon = 1e-4;
   int max_iterations = 4000;
-  /// How the per-iteration gradient is evaluated (see
-  /// NdftPlan::GradientArm):
-  ///  * kAuto — per-iteration cost-model choice between the Toeplitz
-  ///    scatter, the FFT convolution, and the dense arm (the default; on
-  ///    plans without a Toeplitz tier every iteration is dense);
-  ///  * kDense — the legacy fused forward/adjoint on every iteration,
-  ///    bit-identical to rounds 1-2's numerics (the golden reference);
-  ///  * kToeplitzFft — the FFT convolution on every iteration (falls back
-  ///    to kDense on plans without a Toeplitz tier). Mostly a correctness
-  ///    and measurement mode: at the default 35-row problem the dense
-  ///    adjoint is cheaper than the convolution, which pays off only for
-  ///    larger row counts (crossover ~72 rows at m = 1201).
-  /// The arms agree to ~1e-13 relative per gradient; alpha, thresholds and
-  /// iteration structure are shared, so mode only perturbs iterates at
-  /// rounding level (tests pin <= 1e-12 against kDense).
-  enum class GradientMode { kAuto, kDense, kToeplitzFft };
-  GradientMode gradient = GradientMode::kAuto;
 };
 
 /// Result of a sparse inversion.
@@ -173,6 +159,11 @@ class NdftSolver {
 
  private:
   double effective_alpha(NdftWorkspace& ws, const IstaOptions& opts) const;
+  /// The one proximal-gradient loop behind solve_ista (momentum off) and
+  /// solve_fista (momentum on).
+  SparseSolveResult solve_proximal(std::span<const std::complex<double>> h,
+                                   const IstaOptions& opts, NdftWorkspace& ws,
+                                   bool momentum) const;
 
   std::shared_ptr<const NdftPlan> plan_;
 };

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
+#include <tuple>
 
 #include "core/ndft.hpp"
 #include "core/profile.hpp"
@@ -78,17 +80,56 @@ TEST(Ndft, GammaIsInverseSquaredSpectralNorm) {
   EXPECT_NEAR(solver.gamma() * sigma * sigma, 1.0, 0.05);
 }
 
+/// Oracle inputs for the single-path recovery check: the base channel, and
+/// metamorphic variants of it that must leave the first-peak ToF unchanged.
+enum class SinglePathInput {
+  kBase,
+  kGlobalPhase,  ///< h * e^{j phi}
+  kScaledDown,   ///< h * 1e-3
+  kScaledUp,     ///< h * 1e3
+  kLaterPath,    ///< h plus a weaker path arriving later
+};
+
 class SparseSolverKindCase
-    : public ::testing::TestWithParam<SparseSolverKind> {};
+    : public ::testing::TestWithParam<
+          std::tuple<SparseSolverKind, SinglePathInput>> {};
+
+std::string single_path_case_name(
+    const ::testing::TestParamInfo<
+        std::tuple<SparseSolverKind, SinglePathInput>>& info) {
+  static constexpr const char* kSolver[] = {"Ista", "Fista", "Omp"};
+  static constexpr const char* kInput[] = {"Base", "GlobalPhase", "ScaledDown",
+                                           "ScaledUp", "LaterPath"};
+  return std::string(kSolver[static_cast<int>(std::get<0>(info.param))]) +
+         kInput[static_cast<int>(std::get<1>(info.param))];
+}
 
 TEST_P(SparseSolverKindCase, RecoversSinglePath) {
   const DelayGrid grid{0.0, 60e-9, 0.25e-9};
   NdftSolver solver(plan_frequencies(), grid);
   const double tau = 17e-9;  // on-grid (68 * 0.25 ns)
-  const auto h = synth_channel(plan_frequencies(), {{tau, 1.0}});
+  const auto [kind, input] = GetParam();
+
+  auto h = synth_channel(plan_frequencies(), {{tau, 1.0}});
+  switch (input) {
+    case SinglePathInput::kBase:
+      break;
+    case SinglePathInput::kGlobalPhase:
+      for (auto& v : h) v *= std::polar(1.0, 2.1);
+      break;
+    case SinglePathInput::kScaledDown:
+      for (auto& v : h) v *= 1e-3;
+      break;
+    case SinglePathInput::kScaledUp:
+      for (auto& v : h) v *= 1e3;
+      break;
+    case SinglePathInput::kLaterPath:
+      h = synth_channel(plan_frequencies(), {{tau, 1.0}, {29e-9, 0.5}});
+      break;
+  }
 
   SparseSolveResult sol;
-  switch (GetParam()) {
+  switch (kind) {
     case SparseSolverKind::kIsta:
       sol = solver.solve_ista(h);
       break;
@@ -106,10 +147,17 @@ TEST_P(SparseSolverKindCase, RecoversSinglePath) {
   EXPECT_NEAR(fp->delay_s, tau, 0.3e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSolvers, SparseSolverKindCase,
-                         ::testing::Values(SparseSolverKind::kIsta,
-                                           SparseSolverKind::kFista,
-                                           SparseSolverKind::kOmp));
+INSTANTIATE_TEST_SUITE_P(
+    AllSolvers, SparseSolverKindCase,
+    ::testing::Combine(::testing::Values(SparseSolverKind::kIsta,
+                                         SparseSolverKind::kFista,
+                                         SparseSolverKind::kOmp),
+                       ::testing::Values(SinglePathInput::kBase,
+                                         SinglePathInput::kGlobalPhase,
+                                         SinglePathInput::kScaledDown,
+                                         SinglePathInput::kScaledUp,
+                                         SinglePathInput::kLaterPath)),
+    single_path_case_name);
 
 TEST(Ndft, FistaResolvesThreePathsOfFig4) {
   // Paper Fig 4: paths at 5.2, 10, 16 ns. Every true path must appear as a

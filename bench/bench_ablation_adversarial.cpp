@@ -56,22 +56,32 @@ sim::LinkSimConfig bench_link() {
 }
 
 struct Truth {
-  std::vector<core::ResolvedRequest> requests;
+  std::vector<RangingRequest> requests;
   std::vector<double> distance_m;
 };
+
+/// Node ids of the calibration fixture pair.
+constexpr NodeId kCalTx{1}, kCalRx{2};
 
 /// One calibrated card pair (hardware seeds 11/77) swept over a position
 /// grid — ids are decoupled from radio personality, so the a-priori
 /// calibration of that pair covers every request and the residual-error
 /// metric reflects the gate + retries, not uncalibrated chain delay.
-Truth make_requests(std::size_t n) {
-  Truth t;
+/// Registers the fixture pair, the receiver (id 3) and one transmitter per
+/// request (id 100 + i) with `source`.
+Truth make_requests(core::SimSweepSource& source, std::size_t n) {
+  source.add_node(kCalTx, sim::make_mobile({0.0, 0.0}, 11));
+  source.add_node(kCalRx, sim::make_mobile({3.0, 0.0}, 77));
+  const NodeId rx{3};
   const geom::Vec2 rx_pos{12.0, 9.0};
-  const auto rx = sim::make_mobile(rx_pos, 77);
+  source.add_node(rx, sim::make_mobile(rx_pos, 77));
+  Truth t;
   for (std::size_t i = 0; i < n; ++i) {
+    const NodeId tx{100 + i};
     const double x = 2.0 + 0.8 * static_cast<double>(i % 11);
     const double y = 2.0 + 0.6 * static_cast<double>(i % 7);
-    t.requests.push_back({sim::make_mobile({x, y}, 11), 0, rx, 0});
+    source.add_node(tx, sim::make_mobile({x, y}, 11));
+    t.requests.push_back({{tx, 0}, {rx, 0}});
     t.distance_m.push_back(geom::distance({x, y}, rx_pos));
   }
   return t;
@@ -142,7 +152,7 @@ int main(int argc, char** argv) {
 
   const auto inner = std::make_shared<core::SimSweepSource>(
       sim::office_20x20(), bench_link());
-  const auto truth = make_requests(n_requests);
+  const auto truth = make_requests(*inner, n_requests);
 
   std::printf("  %-8s %-10s %-12s %-10s %-10s %-10s %-12s\n", "rate",
               "detection", "false-rej", "ok-rate", "attempts", "exhausted",
@@ -159,8 +169,10 @@ int main(int argc, char** argv) {
     ec.ranging.integrity = core::IntegrityConfig::hostile();
     core::ChronosEngine eng(injector, ec);
     mathx::Rng cal_rng(5);
-    eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                  sim::make_mobile({3.0, 0.0}, 77), cal_rng);
+    if (const Status s = eng.calibrate(kCalTx, kCalRx, cal_rng); !s.ok()) {
+      std::fprintf(stderr, "calibration failed: %s\n", s.to_string().c_str());
+      return 1;
+    }
 
     // Ground truth: which fault each ticket will suffer, reconstructed
     // from the same fork/split discipline the batch runtime applies.

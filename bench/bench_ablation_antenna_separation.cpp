@@ -1,6 +1,7 @@
 // Ablation — §10's antenna-separation trade-off, generalising Fig 8b/8c:
 // localization accuracy vs receive antenna baseline.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -16,15 +17,22 @@ int main() {
   std::printf("  %-16s %-18s\n", "separation (m)", "median LOS error (m)");
   for (double sep : {0.1, 0.2, 0.3, 0.5, 1.0, 1.5}) {
     core::EngineConfig ec;
-    core::ChronosEngine eng(scen.environment(), ec);
+    auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                      ec.link);
+    core::ChronosEngine eng(src, ec);
     mathx::Rng rng(83);
-    eng.calibrate(sim::make_laptop({0.0, 0.0}, 0.3, 11),
-                  sim::make_laptop({1.5, 0.0}, sep, 22), rng);
+    src->add_node(NodeId{9001}, sim::make_laptop({0.0, 0.0}, 0.3, 11));
+    src->add_node(NodeId{9002}, sim::make_laptop({1.5, 0.0}, sep, 22));
+    if (!eng.calibrate(NodeId{9001}, NodeId{9002}, rng).ok()) return 1;
     std::vector<double> errors;
+    std::uint64_t next_id = 1000;
     for (int i = 0; i < 10; ++i) {
       const auto pl = scen.sample_pair_los(rng, 1.0, 12.0);
-      const auto out = eng.locate(sim::make_laptop(pl.tx, 0.3, 11),
-                                  sim::make_laptop(pl.rx, sep, 22), rng);
+      // The calibrated laptops (seeds 11 / 22) at this placement.
+      const NodeId tx_id{next_id++}, rx_id{next_id++};
+      src->add_node(tx_id, sim::make_laptop(pl.tx, 0.3, 11));
+      src->add_node(rx_id, sim::make_laptop(pl.rx, sep, 22));
+      const auto out = eng.locate(tx_id, rx_id, rng).value();
       if (out.result.valid) {
         errors.push_back(geom::distance(out.result.position, pl.tx));
       }

@@ -5,6 +5,8 @@
 // workload. The paper's claim: the scattered, unequally-spaced full plan is
 // what buys unambiguous sub-ns ToF.
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -20,16 +22,28 @@ void run_subset(const char* name, std::vector<phy::WifiBand> bands) {
   const auto scen = sim::office_testbed(42);
   core::EngineConfig ec;
   ec.link.bands = std::move(bands);
-  core::ChronosEngine eng(scen.environment(), ec);
+  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                    ec.link);
+  core::ChronosEngine eng(src, ec);
   mathx::Rng rng(71);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
+  src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
+  src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));
+  const Status cal = eng.calibrate(NodeId{9001}, NodeId{9002}, rng);
+  if (!cal.ok()) {
+    std::fprintf(stderr, "calibration failed: %s\n",
+                 cal.to_string().c_str());
+    std::exit(1);
+  }
 
   std::vector<double> err_ns;
+  std::uint64_t next_id = 1000;
   for (int i = 0; i < 25; ++i) {
     const auto pl = scen.sample_pair_los(rng, 1.0, 12.0);
-    const auto r = eng.measure_distance(sim::make_mobile(pl.tx, 11), 0,
-                                        sim::make_mobile(pl.rx, 22), 0, rng);
+    // The calibrated cards (seeds 11 / 22) at this placement.
+    const NodeId tx_id{next_id++}, rx_id{next_id++};
+    src->add_node(tx_id, sim::make_mobile(pl.tx, 11));
+    src->add_node(rx_id, sim::make_mobile(pl.rx, 22));
+    const auto r = eng.measure({{tx_id, 0}, {rx_id, 0}}, rng).value();
     err_ns.push_back(
         std::abs(r.tof_s - mathx::distance_to_tof(pl.distance())) * 1e9);
   }

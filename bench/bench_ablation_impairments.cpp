@@ -6,6 +6,8 @@
 //    shown instead by disabling the ToA gate and quirk fix
 //  * calibration off            (S7: kappa / hardware delay survive)
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -31,18 +33,30 @@ void run_variant(const Variant& v) {
   ec.ranging.combining.two_way = v.two_way;
   ec.ranging.combining.quirk_fix = v.quirk_fix;
   ec.ranging.use_toa_gate = v.toa_gate;
-  core::ChronosEngine eng(scen.environment(), ec);
+  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                    ec.link);
+  core::ChronosEngine eng(src, ec);
   mathx::Rng rng(41);
   if (v.calibrate) {
-    eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                  sim::make_mobile({1.0, 0.0}, 22), rng);
+    src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
+    src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));
+    const Status cal = eng.calibrate(NodeId{9001}, NodeId{9002}, rng);
+    if (!cal.ok()) {
+      std::fprintf(stderr, "calibration failed: %s\n",
+                   cal.to_string().c_str());
+      std::exit(1);
+    }
   }
 
   std::vector<double> err_m;
+  std::uint64_t next_id = 1000;
   for (int i = 0; i < 20; ++i) {
     const auto pl = scen.sample_pair_los(rng, 1.0, 12.0);
-    const auto r = eng.measure_distance(sim::make_mobile(pl.tx, 11), 0,
-                                        sim::make_mobile(pl.rx, 22), 0, rng);
+    // The same two cards (seeds 11 / 22) at this placement.
+    const NodeId tx_id{next_id++}, rx_id{next_id++};
+    src->add_node(tx_id, sim::make_mobile(pl.tx, 11));
+    src->add_node(rx_id, sim::make_mobile(pl.rx, 22));
+    const auto r = eng.measure({{tx_id, 0}, {rx_id, 0}}, rng).value();
     err_m.push_back(std::abs(r.distance_m - pl.distance()));
   }
   std::printf("  %-36s median %8.3f m   95%% %8.3f m\n", v.name,

@@ -74,11 +74,6 @@ BatchResult collect(RangingSession session,
 }
 }  // namespace
 
-ChronosEngine::ChronosEngine(sim::Environment env, EngineConfig config)
-    : ChronosEngine(
-          std::make_shared<SimSweepSource>(std::move(env), config.link),
-          config) {}
-
 ChronosEngine::ChronosEngine(std::shared_ptr<const SweepSource> source,
                              EngineConfig config)
     : config_(std::move(config)),
@@ -87,18 +82,18 @@ ChronosEngine::ChronosEngine(std::shared_ptr<const SweepSource> source,
           checked_bands(source_), config_.ranging)),
       calibration_(std::make_shared<const CalibrationTable>()) {}
 
-void ChronosEngine::ensure_registered(const sim::Device& device) const {
-  if (const auto* sim_source =
-          dynamic_cast<const SimSweepSource*>(source_.get())) {
-    sim_source->ensure_node(device);
-  }
-}
-
 // ------------------------------------------------------------- calibration
 
-void ChronosEngine::calibrate_resolved(const sim::Device& tx,
-                                       const sim::Device& rx,
-                                       mathx::Rng& rng) {
+chronos::Status ChronosEngine::calibrate(chronos::NodeId tx, chronos::NodeId rx,
+                                         mathx::Rng& rng) {
+  if (!source_->has_geometry()) {
+    return {chronos::StatusCode::kUnavailable,
+            "backend '" + source_->backend_name() +
+                "' carries no device descriptions; install a recorded table "
+                "via set_calibration()"};
+  }
+  const auto resolved = source_->resolve({{tx, 0}, {rx, 0}});
+  if (!resolved.ok()) return resolved.status();
   CHRONOS_EXPECTS(config_.calibration_sweeps >= 1,
                   "need at least one calibration sweep");
 
@@ -107,8 +102,8 @@ void ChronosEngine::calibrate_resolved(const sim::Device& tx,
   // backend — this is the paper's a-priori bench calibration, not a field
   // measurement. Trace deployments with a recorded calibration install it
   // via set_calibration() instead.
-  sim::Device tx_fix = tx;
-  sim::Device rx_fix = rx;
+  sim::Device tx_fix = resolved.value().tx;
+  sim::Device rx_fix = resolved.value().rx;
   tx_fix.antennas = {{0.0, 0.0}};
   rx_fix.antennas = {{config_.calibration_distance_m, 0.0}};
 
@@ -123,29 +118,7 @@ void ChronosEngine::calibrate_resolved(const sim::Device& tx,
   calibration_ = std::make_shared<const CalibrationTable>(
       calibrate_from_sweeps(sweeps, config_.calibration_distance_m,
                             config_.ranging.combining));
-}
-
-chronos::Status ChronosEngine::calibrate(chronos::NodeId tx, chronos::NodeId rx,
-                                         mathx::Rng& rng) {
-  if (!source_->has_geometry()) {
-    return {chronos::StatusCode::kUnavailable,
-            "backend '" + source_->backend_name() +
-                "' carries no device descriptions; install a recorded table "
-                "via set_calibration()"};
-  }
-  const auto resolved = source_->resolve({{tx, 0}, {rx, 0}});
-  if (!resolved.ok()) return resolved.status();
-  calibrate_resolved(resolved.value().tx, resolved.value().rx, rng);
   return chronos::Status::Ok();
-}
-
-void ChronosEngine::calibrate(const sim::Device& tx, const sim::Device& rx,
-                              mathx::Rng& rng) {
-  // Deprecated shim: make the pair resolvable by id, then calibrate the
-  // devices it was handed (bit-identical to the pre-v2 path).
-  ensure_registered(tx);
-  ensure_registered(rx);
-  calibrate_resolved(tx, rx, rng);
 }
 
 void ChronosEngine::set_calibration(CalibrationTable calibration) {
@@ -205,22 +178,6 @@ chronos::Result<RangingResult> ChronosEngine::estimate(
   } catch (const std::invalid_argument& e) {
     return chronos::Status{chronos::StatusCode::kMalformedSweep, e.what()};
   }
-}
-
-RangingResult ChronosEngine::measure_distance(const sim::Device& tx,
-                                              std::size_t tx_antenna,
-                                              const sim::Device& rx,
-                                              std::size_t rx_antenna,
-                                              mathx::Rng& rng) const {
-  // Deprecated shim: the devices ARE the resolution, so register them for
-  // later id-based calls and range directly — same draws, same bits as the
-  // pre-v2 overload (tests/test_core_api.cpp pins shim-vs-v2 equality).
-  ensure_registered(tx);
-  ensure_registered(rx);
-  auto sweep =
-      source_->sweep_for({tx, tx_antenna, rx, rx_antenna}, rng);
-  CHRONOS_EXPECTS(sweep.ok(), sweep.status().to_string());
-  return pipeline_->estimate(sweep.value(), *calibration_);
 }
 
 // ----------------------------------------------------------------- batches
@@ -284,27 +241,13 @@ RangingSession ChronosEngine::feed(std::span<const ResolvedRequest> requests,
 }
 
 BatchResult ChronosEngine::measure_batch(
-    std::span<const ResolvedRequest> requests, mathx::Rng& rng,
+    std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
     const BatchOptions& options) const {
   // Wall-clock diagnostic (wall_time_s); results are a pure function of
   // the session's streams. lint:allow(nondeterminism)
   const auto t0 = std::chrono::steady_clock::now();
-  return collect(feed(requests, {}, rng, options), t0);
-}
-
-BatchResult ChronosEngine::measure_batch(
-    std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  // Diagnostic only; see above. lint:allow(nondeterminism)
-  const auto t0 = std::chrono::steady_clock::now();
   const Resolution resolved = resolve_all(*source_, requests);
   return collect(feed(resolved.requests, resolved.failed, rng, options), t0);
-}
-
-RangingSession ChronosEngine::submit_batch(
-    std::span<const ResolvedRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  return feed(requests, {}, rng, options);
 }
 
 RangingSession ChronosEngine::submit_batch(
@@ -329,52 +272,6 @@ RangingSession ChronosEngine::open_session(mathx::Rng& rng,
 
 // ------------------------------------------------------------ localization
 
-LocateOutcome ChronosEngine::locate_resolved(
-    const sim::Device& tx, const sim::Device& rx, mathx::Rng& rng,
-    const std::optional<geom::Vec2>& hint, const BatchOptions& options) const {
-  // The tx-major pair loop is a thin client of the batched runtime:
-  // enumerate every (tx antenna, rx antenna) pair as a request and let the
-  // pool range them.
-  std::vector<ResolvedRequest> requests;
-  requests.reserve(tx.antennas.size() * rx.antennas.size());
-  for (std::size_t ta = 0; ta < tx.antennas.size(); ++ta) {
-    for (std::size_t ra = 0; ra < rx.antennas.size(); ++ra) {
-      requests.push_back({tx, ta, rx, ra});
-    }
-  }
-  BatchResult batch =
-      measure_batch(std::span<const ResolvedRequest>(requests), rng, options);
-
-  LocateOutcome out;
-  out.details = std::move(batch.results);
-  // Pairwise distances between every transmit and receive antenna enter
-  // one joint optimisation (paper §8). Per-TX-antenna solutions are also
-  // recorded for diagnostics.
-  std::vector<geom::Vec2> anchors;
-  std::vector<double> all_distances;
-  std::size_t k = 0;
-  for (std::size_t ta = 0; ta < tx.antennas.size(); ++ta) {
-    std::vector<double> distances;
-    distances.reserve(rx.antennas.size());
-    for (std::size_t ra = 0; ra < rx.antennas.size(); ++ra, ++k) {
-      distances.push_back(out.details[k].distance_m);
-      anchors.push_back(rx.antennas[ra]);
-      all_distances.push_back(out.details[k].distance_m);
-    }
-    if (ta == 0) out.antenna_distances_m = distances;
-    out.per_tx_antenna.push_back(
-        localize(rx.antennas, distances, localizer_, hint));
-  }
-
-  // Joint fit: solves for the TX device position against all ranges at
-  // once. TX antennas are approximated by the device center (<= half the
-  // antenna span of model error), which is repaid many times over: the
-  // joint residual picks the correct mirror side by majority and averages
-  // per-link multipath bias, which decorrelates across antennas.
-  out.result = localize(anchors, all_distances, localizer_, hint);
-  return out;
-}
-
 chronos::Result<LocateOutcome> ChronosEngine::locate(
     chronos::NodeId tx, chronos::NodeId rx, mathx::Rng& rng,
     const std::optional<geom::Vec2>& hint, const BatchOptions& options) const {
@@ -386,50 +283,54 @@ chronos::Result<LocateOutcome> ChronosEngine::locate(
   }
   const auto resolved = source_->resolve({{tx, 0}, {rx, 0}});
   if (!resolved.ok()) return resolved.status();
-  if (resolved.value().rx.antennas.size() < 2) {
+  const std::vector<geom::Vec2>& tx_antennas = resolved.value().tx.antennas;
+  const std::vector<geom::Vec2>& rx_antennas = resolved.value().rx.antennas;
+  if (rx_antennas.size() < 2) {
     return chronos::Status{
         chronos::StatusCode::kInvalidArgument,
         "localization needs a receiver with >= 2 antennas"};
   }
-  return locate_resolved(resolved.value().tx, resolved.value().rx, rng, hint,
-                         options);
-}
 
-LocateOutcome ChronosEngine::locate(const sim::Device& tx,
-                                    const sim::Device& rx, mathx::Rng& rng,
-                                    const std::optional<geom::Vec2>& hint,
-                                    const BatchOptions& options) const {
-  // Deprecated shim: register + range the devices it was handed.
-  CHRONOS_EXPECTS(rx.antennas.size() >= 2,
-                  "localization needs a receiver with >= 2 antennas");
-  ensure_registered(tx);
-  ensure_registered(rx);
-  return locate_resolved(tx, rx, rng, hint, options);
-}
-
-std::vector<LocateOutcome> ChronosEngine::locate_batch(
-    std::span<const ResolvedLocateRequest> requests, mathx::Rng& rng,
-    const BatchOptions& options) const {
-  const mathx::Rng base = rng.fork(kLocateBatchTag);
-  const int threads = resolve_batch_threads(options, requests.size());
-
-  // One pool job per localization; each job runs its own pair sweeps
-  // inline (BatchOptions{1}) so the pool is never nested. Job i draws from
-  // base.split(i), making the output a pure function of (engine, requests,
-  // rng state) exactly as in measure_batch.
-  auto process = [&](std::size_t i) {
-    mathx::Rng child = base.split(static_cast<std::uint64_t>(i));
-    return locate(requests[i].tx, requests[i].rx, child, requests[i].hint,
-                  BatchOptions{1});
-  };
-
-  if (threads <= 1) {
-    std::vector<LocateOutcome> out;
-    out.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) out.push_back(process(i));
-    return out;
+  // The tx-major pair loop is a thin client of the batched runtime:
+  // enumerate every (tx antenna, rx antenna) pair as a request and let the
+  // pool range them.
+  std::vector<ResolvedRequest> requests;
+  requests.reserve(tx_antennas.size() * rx_antennas.size());
+  for (std::size_t ta = 0; ta < tx_antennas.size(); ++ta) {
+    for (std::size_t ra = 0; ra < rx_antennas.size(); ++ra) {
+      requests.push_back(
+          {resolved.value().tx, ta, resolved.value().rx, ra});
+    }
   }
-  return parallel_map_on(*session_pool(threads), requests.size(), process);
+
+  LocateOutcome out;
+  out.details = feed(requests, {}, rng, options).drain();
+  // Pairwise distances between every transmit and receive antenna enter
+  // one joint optimisation (paper §8). Per-TX-antenna solutions are also
+  // recorded for diagnostics.
+  std::vector<geom::Vec2> anchors;
+  std::vector<double> all_distances;
+  std::size_t k = 0;
+  for (std::size_t ta = 0; ta < tx_antennas.size(); ++ta) {
+    std::vector<double> distances;
+    distances.reserve(rx_antennas.size());
+    for (std::size_t ra = 0; ra < rx_antennas.size(); ++ra, ++k) {
+      distances.push_back(out.details[k].distance_m);
+      anchors.push_back(rx_antennas[ra]);
+      all_distances.push_back(out.details[k].distance_m);
+    }
+    if (ta == 0) out.antenna_distances_m = distances;
+    out.per_tx_antenna.push_back(
+        localize(rx_antennas, distances, localizer_, hint));
+  }
+
+  // Joint fit: solves for the TX device position against all ranges at
+  // once. TX antennas are approximated by the device center (<= half the
+  // antenna span of model error), which is repaid many times over: the
+  // joint residual picks the correct mirror side by majority and averages
+  // per-link multipath bias, which decorrelates across antennas.
+  out.result = localize(anchors, all_distances, localizer_, hint);
+  return out;
 }
 
 std::vector<LocateOutcome> ChronosEngine::locate_batch(
@@ -438,10 +339,12 @@ std::vector<LocateOutcome> ChronosEngine::locate_batch(
   const mathx::Rng base = rng.fork(kLocateBatchTag);
   const int threads = resolve_batch_threads(options, requests.size());
 
-  // Same job structure as the resolved overload, with per-request
-  // resolution folded into the job: a request that fails to resolve
-  // yields an outcome carrying the status (its split stream goes unused —
-  // neighbours are unaffected).
+  // One pool job per localization; each job runs its own pair sweeps
+  // inline (BatchOptions{1}) so the pool is never nested. Job i draws from
+  // base.split(i), making the output a pure function of (engine, requests,
+  // rng state) exactly as in measure_batch. A request that fails to
+  // resolve yields an outcome carrying the status (its split stream goes
+  // unused — neighbours are unaffected).
   auto process = [&](std::size_t i) {
     mathx::Rng child = base.split(static_cast<std::uint64_t>(i));
     auto out = locate(requests[i].tx, requests[i].rx, child,

@@ -18,10 +18,8 @@
 //
 // API v2: public requests carry chronos::NodeId identities which the
 // backend's registry resolves; request-shaped failures come back as
-// chronos::Status / Result values. The pre-v2 sim::Device overloads remain
-// as deprecated shims that register their devices with the backend
-// directory and forward through the id-based path — bit-identical results,
-// enforced by tests/test_core_api.cpp.
+// chronos::Status / Result values. Ids are the only way in: register
+// devices with the backend (e.g. SimSweepSource::add_node) before ranging.
 //
 // Threading model: every const method is safe to call concurrently from
 // multiple threads, provided each caller supplies its own mathx::Rng. The
@@ -56,10 +54,9 @@
 namespace chronos::core {
 
 struct EngineConfig {
-  /// Simulator backend configuration; only consulted by the
-  /// (Environment, EngineConfig) constructor and as the fixture sweep plan
-  /// for calibrate(). Engines built on an explicit SweepSource take their
-  /// band plan from the source instead.
+  /// Link model of calibrate()'s anechoic fixture; its `bands` are replaced
+  /// by source->bands(). Pass the same config to a SimSweepSource backend
+  /// so the fixture and the field share one impairment model.
   sim::LinkSimConfig link;
   RangingConfig ranging;
   /// Sweeps averaged during calibration.
@@ -75,27 +72,13 @@ using BatchResult = chronos::BatchResult;
 using LocateOutcome = chronos::LocateOutcome;
 using SessionOptions = chronos::SessionOptions;
 
-/// One unit of localization work after backend resolution (see
-/// ChronosEngine::locate_batch; new code submits chronos::LocateRequest
-/// ids instead).
-struct ResolvedLocateRequest {
-  sim::Device tx;
-  sim::Device rx;
-  std::optional<geom::Vec2> hint;
-};
-
 class ChronosEngine {
  public:
-  /// Simulator-backed engine: `env` is the deployment environment for
-  /// measurements; calibration always runs in an anechoic fixture
-  /// regardless (mirroring the paper's a-priori one-time calibration).
-  /// Shorthand for wrapping (env, config.link) in a SimSweepSource.
-  ChronosEngine(sim::Environment env, EngineConfig config = {});
-
-  /// Backend-generic engine: ranges whatever sweeps `source` yields (e.g. a
-  /// TraceSweepSource replaying recorded captures). The pipeline's band
-  /// plan comes from source->bands(); config.link is ignored. Pair with
-  /// set_calibration() when the backend has a recorded calibration.
+  /// Ranges whatever sweeps `source` yields (a SimSweepSource, a
+  /// TraceSweepSource replaying recorded captures, ...). The pipeline's
+  /// band plan comes from source->bands(); config.link shapes only the
+  /// calibrate() fixture. Pair with set_calibration() when the backend has
+  /// a recorded calibration.
   explicit ChronosEngine(std::shared_ptr<const SweepSource> source,
                          EngineConfig config = {});
 
@@ -117,12 +100,6 @@ class ChronosEngine {
   [[nodiscard]] chronos::Status calibrate(chronos::NodeId tx,
                                           chronos::NodeId rx,
                                           mathx::Rng& rng);
-
-  /// Deprecated shim (pre-v2): registers both devices with the backend
-  /// directory (simulator backends) and calibrates the pair directly.
-  /// Prefer calibrate(NodeId, NodeId, rng).
-  void calibrate(const sim::Device& tx, const sim::Device& rx,
-                 mathx::Rng& rng);
 
   /// Installs a pre-computed calibration table (e.g. one recorded alongside
   /// a trace, or built offline with calibrate_from_sweeps).
@@ -148,14 +125,6 @@ class ChronosEngine {
   [[nodiscard]] chronos::Result<RangingResult> estimate(
       const phy::SweepMeasurement& sweep) const;
 
-  /// Deprecated shim (pre-v2): registers both devices with the backend
-  /// directory and forwards through the id-based path; throws
-  /// std::invalid_argument on failure statuses (the pre-v2 behavior).
-  /// Prefer measure().
-  RangingResult measure_distance(const sim::Device& tx, std::size_t tx_antenna,
-                                 const sim::Device& rx, std::size_t rx_antenna,
-                                 mathx::Rng& rng) const;
-
   // --------------------------------------------------------------- batches
 
   /// Ranges every id-based request on the persistent session pool.
@@ -164,11 +133,6 @@ class ChronosEngine {
   /// exactly one fork(). Per-request failures (including resolution
   /// failures) land in results[i].status, index-aligned with `requests`.
   BatchResult measure_batch(std::span<const chronos::RangingRequest> requests,
-                            mathx::Rng& rng,
-                            const BatchOptions& options = {}) const;
-
-  /// Engine-internal/batch-compat overload over resolved requests.
-  BatchResult measure_batch(std::span<const ResolvedRequest> requests,
                             mathx::Rng& rng,
                             const BatchOptions& options = {}) const;
 
@@ -185,9 +149,6 @@ class ChronosEngine {
   RangingSession submit_batch(
       std::span<const chronos::RangingRequest> requests, mathx::Rng& rng,
       const BatchOptions& options = {}) const;
-  RangingSession submit_batch(std::span<const ResolvedRequest> requests,
-                              mathx::Rng& rng,
-                              const BatchOptions& options = {}) const;
 
   /// Opens a bounded-queue streaming session on the persistent pool (the
   /// v2 flow-control surface). Forks `rng` once: a session fed requests
@@ -209,14 +170,6 @@ class ChronosEngine {
       const std::optional<geom::Vec2>& hint = std::nullopt,
       const BatchOptions& options = {}) const;
 
-  /// Deprecated shim (pre-v2): registers both devices and forwards through
-  /// the id-based path; throws std::invalid_argument on failure statuses.
-  /// Prefer locate(NodeId, ...).
-  LocateOutcome locate(const sim::Device& tx, const sim::Device& rx,
-                       mathx::Rng& rng,
-                       const std::optional<geom::Vec2>& hint = std::nullopt,
-                       const BatchOptions& options = {}) const;
-
   /// Runs many independent localizations concurrently, one pool job per
   /// request (each job's pair sweep runs inline within it). Request i
   /// draws from its own split stream, so results are bit-identical for
@@ -225,11 +178,6 @@ class ChronosEngine {
   /// outcome[i].status.
   std::vector<LocateOutcome> locate_batch(
       std::span<const chronos::LocateRequest> requests, mathx::Rng& rng,
-      const BatchOptions& options = {}) const;
-
-  /// Resolved-device overload (pre-v2 compat and engine-internal use).
-  std::vector<LocateOutcome> locate_batch(
-      std::span<const ResolvedLocateRequest> requests, mathx::Rng& rng,
       const BatchOptions& options = {}) const;
 
   // ----------------------------------------------------------- diagnostics
@@ -247,28 +195,15 @@ class ChronosEngine {
   /// concurrent grow can never destroy a pool under a running batch.
   std::shared_ptr<WorkerPool> session_pool(int threads) const;
 
-  /// The one batch path under measure_batch and submit_batch: forks `rng`
-  /// once, opens an unbounded session (poolless, so inline, when the batch
-  /// resolves to one thread), and admits `requests` in solve groups split
-  /// around every slot `failed` marks (empty, or one Status per request);
-  /// those slots go through push_failed, so ticket i is request i.
+  /// The one batch path under measure_batch, submit_batch and locate:
+  /// forks `rng` once, opens an unbounded session (poolless, so inline,
+  /// when the batch resolves to one thread), and admits `requests` in solve
+  /// groups split around every slot `failed` marks (empty, or one Status
+  /// per request); those slots go through push_failed, so ticket i is
+  /// request i.
   RangingSession feed(std::span<const ResolvedRequest> requests,
                       std::span<const chronos::Status> failed,
                       mathx::Rng& rng, const BatchOptions& options) const;
-
-  /// Registers Device-overload shim arguments with a writable backend
-  /// directory (no-op on backends whose directory is fixed).
-  void ensure_registered(const sim::Device& device) const;
-
-  /// The calibration fixture shared by both calibrate() overloads.
-  void calibrate_resolved(const sim::Device& tx, const sim::Device& rx,
-                          mathx::Rng& rng);
-
-  /// The localization pipeline shared by every locate entry point.
-  LocateOutcome locate_resolved(const sim::Device& tx, const sim::Device& rx,
-                                mathx::Rng& rng,
-                                const std::optional<geom::Vec2>& hint,
-                                const BatchOptions& options) const;
 
   EngineConfig config_;
   std::shared_ptr<const SweepSource> source_;

@@ -64,9 +64,9 @@ struct ResolvedRequest {
 ///   * `sweep_for` / `resolve` and every NodeRegistry query are safe to
 ///     call concurrently on one const instance — implementations hold no
 ///     hidden mutable state and draw randomness exclusively from the
-///     caller-supplied `rng`. Backends whose directory can mutate through
-///     a const path (SimSweepSource::ensure_node) lock it internally;
-///     backends populated through non-const mutators (TraceSweepSource's
+///     caller-supplied `rng`. A backend whose directory may change while
+///     ranging runs (SimSweepSource::add_node) locks it internally;
+///     backends populated only before ranging (TraceSweepSource's
 ///     add_sweep*) must finish population before concurrent ranging
 ///     starts — the engine's shared_ptr<const> ownership enforces that
 ///     shape naturally;
@@ -85,8 +85,9 @@ class SweepSource : public chronos::NodeRegistry {
   /// The calibrated per-band sweep for `req`, or the Status explaining why
   /// this backend cannot serve it. Implementations MUST validate `req`
   /// and report unserveable requests as a Status — never crash or read
-  /// out of bounds: resolved requests are also built directly by the
-  /// deprecated Device shims, without passing through resolve().
+  /// out of bounds: resolved requests are also built directly for
+  /// RangingSession::submit_group (e.g. by locate's pair loop), without
+  /// passing through resolve().
   [[nodiscard]] virtual chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const = 0;
 
@@ -113,18 +114,11 @@ class SimSweepSource final : public SweepSource {
   SimSweepSource(sim::Environment env, sim::LinkSimConfig config);
   explicit SimSweepSource(sim::LinkSimulator link);
 
-  /// Registers (or replaces) `device` under `id`. Thread-safe.
+  /// Registers (or replaces) `device` under `id`. Thread-safe: a moving
+  /// node re-registers under its id while ranging runs.
   void add_node(chronos::NodeId id, sim::Device device);
   /// Shorthand: id = device.hardware_seed.
   void add_node(sim::Device device);
-
-  /// Directory registration from the deprecated Device-overload shims:
-  /// registers `device` under NodeId{device.hardware_seed}, replacing any
-  /// previous holder so the shim ranges exactly the device it was given.
-  /// Const because the directory is identity metadata — sweeps are a pure
-  /// function of the resolved request, so registration can never change a
-  /// measured bit. Thread-safe (internally locked).
-  void ensure_node(const sim::Device& device) const;
 
   // NodeRegistry
   bool has_node(chronos::NodeId id) const override;
@@ -148,9 +142,9 @@ class SimSweepSource final : public SweepSource {
  private:
   sim::LinkSimulator link_;
   mutable chronos::Mutex nodes_mutex_;
-  /// The writable node directory — the one mutable-through-const surface
-  /// of this backend (ensure_node), hence the only guarded state.
-  mutable std::map<chronos::NodeId, sim::Device> nodes_
+  /// The node directory: add_node may replace entries while const
+  /// resolves run on other threads, hence the only guarded state.
+  std::map<chronos::NodeId, sim::Device> nodes_
       CHRONOS_GUARDED_BY(nodes_mutex_);
 };
 

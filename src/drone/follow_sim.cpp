@@ -2,18 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "core/engine.hpp"
 #include "mathx/contracts.hpp"
 #include "mathx/stats.hpp"
 #include "sim/environment.hpp"
 
 namespace chronos::drone {
 
+namespace {
+// Node ids equal the devices' hardware seeds (their radio personalities).
+constexpr chronos::NodeId kUserNode{31};
+constexpr chronos::NodeId kDroneNode{32};
+}  // namespace
+
 FollowRunResult run_follow_simulation(const FollowSimConfig& config,
-                                      core::ChronosEngine& engine,
                                       mathx::Rng& rng) {
   CHRONOS_EXPECTS(config.measurement_rate_hz > 0.0, "rate must be positive");
   CHRONOS_EXPECTS(config.duration_s > 0.0, "duration must be positive");
+
+  const core::EngineConfig ec;
+  const auto source =
+      std::make_shared<core::SimSweepSource>(sim::drone_room_6x5(), ec.link);
+  source->add_node(kUserNode, sim::make_mobile({0.0, 0.0}, 31));
+  source->add_node(kDroneNode, sim::make_mobile({1.0, 0.0}, 32));
+  core::ChronosEngine engine(source, ec);
+  const chronos::Status calibrated =
+      engine.calibrate(kUserNode, kDroneNode, rng);
+  CHRONOS_EXPECTS(calibrated.ok(), calibrated.to_string());
 
   const double dt = 1.0 / config.measurement_rate_hz;
 
@@ -29,10 +46,12 @@ FollowRunResult run_follow_simulation(const FollowSimConfig& config,
   for (double t = 0.0; t < config.duration_s; t += dt) {
     const geom::Vec2 user_pos = walk.position_at(t);
 
-    // Chronos measurement between the user's device and the drone's radio.
-    const sim::Device user_dev = sim::make_mobile(user_pos, 31);
-    const sim::Device drone_dev = sim::make_mobile(drone_pos, 32);
-    const auto range = engine.measure_distance(user_dev, 0, drone_dev, 0, rng);
+    // Chronos measurement between the user's device and the drone's radio,
+    // each re-registered (replacing its previous entry) where it now is.
+    source->add_node(kUserNode, sim::make_mobile(user_pos, 31));
+    source->add_node(kDroneNode, sim::make_mobile(drone_pos, 32));
+    const core::RangingResult range =
+        engine.measure({{kUserNode, 0}, {kDroneNode, 0}}, rng).value();
 
     const auto filtered = filter.push(range.distance_m);
     const double measured =
@@ -65,16 +84,6 @@ FollowRunResult run_follow_simulation(const FollowSimConfig& config,
     out.rms_deviation_m = mathx::rms(out.distance_deviation_m);
   }
   return out;
-}
-
-FollowRunResult run_follow_simulation(const FollowSimConfig& config,
-                                      mathx::Rng& rng) {
-  core::EngineConfig ec;
-  core::ChronosEngine engine(sim::drone_room_6x5(), ec);
-  const sim::Device user = sim::make_mobile({0.0, 0.0}, 31);
-  const sim::Device drone = sim::make_mobile({1.0, 0.0}, 32);
-  engine.calibrate(user, drone, rng);
-  return run_follow_simulation(config, engine, rng);
 }
 
 }  // namespace chronos::drone

@@ -8,9 +8,9 @@
 
 #include <vector>
 
-#include "core/engine.hpp"
 #include "drone/controller.hpp"
 #include "drone/trajectory.hpp"
+#include "mathx/rng.hpp"
 
 namespace chronos::drone {
 
@@ -42,13 +42,10 @@ struct FollowRunResult {
   double rms_deviation_m = 0.0;
 };
 
-/// Runs the closed loop. The engine must be calibrated for the drone/user
-/// device pair (hardware seeds 31/32 by convention in this module).
-FollowRunResult run_follow_simulation(const FollowSimConfig& config,
-                                      core::ChronosEngine& engine,
-                                      mathx::Rng& rng);
-
-/// Convenience: builds a drone-room engine (calibrated) and runs.
+/// Runs the closed loop in the drone room: builds a simulator backend,
+/// registers the user's device as node 31 and the drone's radio as node 32,
+/// calibrates that pair, then re-registers both nodes at their new
+/// positions before every measurement.
 FollowRunResult run_follow_simulation(const FollowSimConfig& config,
                                       mathx::Rng& rng);
 

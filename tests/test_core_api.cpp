@@ -3,8 +3,6 @@
 //     NodeRegistry, and every request-shaped failure (unknown node,
 //     antenna out of range, unrecorded link, band mismatch, full queue)
 //     comes back as a chronos::Status — never as an exception;
-//   * shims — the deprecated sim::Device overloads forward through the
-//     registry and stay bit-identical to the id-based path;
 //   * flow control — RangingSession's bounded queue reports kQueueFull
 //     from try_submit without blocking and without dropping anything.
 #include <gtest/gtest.h>
@@ -262,7 +260,8 @@ TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {
   // recoverable kBandMismatch (rebuild the pipeline for it), not
   // kMalformedSweep.
   const auto ec = fast_config();
-  const ChronosEngine eng(sim::office_20x20(), ec);
+  const ChronosEngine eng(
+      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
 
   sim::LinkSimConfig other_cfg = ec.link;
   other_cfg.bands.pop_back();
@@ -322,67 +321,6 @@ TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
       expect_bitwise_equal(async[i], mixed.results[i]);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated sim::Device shims: registry-forwarded and bit-identical
-// ---------------------------------------------------------------------------
-
-TEST(ApiShims, DeviceOverloadsMatchIdBasedPathBitExactly) {
-  const auto ec = fast_config();
-  const auto tx = sim::make_mobile({2.0, 2.0}, 5);
-  const auto rx = sim::make_laptop({9.0, 6.0}, 0.3, 6);
-
-  auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
-  ChronosEngine eng(src, ec);
-
-  // calibrate: Device shim vs NodeId path on two identically-seeded
-  // engines must produce the same table (proven through the estimates).
-  auto src2 = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
-  src2->add_node(chronos::NodeId{5}, tx);
-  src2->add_node(chronos::NodeId{6}, rx);
-  ChronosEngine eng2(src2, ec);
-  mathx::Rng cal_a(15);
-  mathx::Rng cal_b(15);
-  eng.calibrate(tx, rx, cal_a);  // deprecated shim
-  ASSERT_TRUE(
-      eng2.calibrate(chronos::NodeId{5}, chronos::NodeId{6}, cal_b).ok());
-
-  // measure: the shim registers its devices (id = hardware seed), so the
-  // id-based path resolves to exactly the same descriptions.
-  mathx::Rng rng_shim(11);
-  mathx::Rng rng_v2(11);
-  const auto shimmed = eng.measure_distance(tx, 0, rx, 1, rng_shim);
-  const auto v2 =
-      eng2.measure({{{5}, 0}, {{6}, 1}}, rng_v2);
-  ASSERT_TRUE(v2.ok());
-  expect_bitwise_equal(shimmed, v2.value());
-
-  // The shim's registration is visible through the public registry.
-  EXPECT_TRUE(eng.registry().has_node(chronos::NodeId{5}));
-  EXPECT_TRUE(eng.registry().has_node(chronos::NodeId{6}));
-
-  // locate: Device shim vs NodeId path.
-  mathx::Rng loc_a(31);
-  mathx::Rng loc_b(31);
-  const auto shim_out = eng.locate(tx, rx, loc_a);
-  const auto v2_out = eng2.locate(chronos::NodeId{5}, chronos::NodeId{6},
-                                  loc_b);
-  ASSERT_TRUE(v2_out.ok());
-  EXPECT_EQ(shim_out.result.position.x, v2_out.value().result.position.x);
-  EXPECT_EQ(shim_out.result.position.y, v2_out.value().result.position.y);
-  ASSERT_EQ(shim_out.details.size(), v2_out.value().details.size());
-  for (std::size_t i = 0; i < shim_out.details.size(); ++i) {
-    expect_bitwise_equal(shim_out.details[i], v2_out.value().details[i]);
-  }
-
-  // Shim failure behavior is unchanged: exceptions (programmer error
-  // surface), not statuses.
-  mathx::Rng rng_bad(1);
-  EXPECT_THROW((void)eng.measure_distance(tx, 9, rx, 0, rng_bad),
-               std::invalid_argument);
-  EXPECT_THROW((void)eng.locate(tx, sim::make_mobile({1.0, 1.0}, 9), rng_bad),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "core/retry.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
+#include "sim_nodes.hpp"
 
 namespace chronos::core {
 namespace {
@@ -30,13 +31,25 @@ EngineConfig fast_config() {
   return ec;
 }
 
-std::vector<ResolvedRequest> make_requests(std::size_t n) {
-  std::vector<ResolvedRequest> reqs;
-  const auto rx = sim::make_laptop({12.0, 9.0}, 0.3, 77);
+/// A reduced-plan simulator backend over `env` with no nodes yet.
+std::shared_ptr<SimSweepSource> fast_source(sim::Environment env) {
+  return test::sim_nodes(std::move(env), fast_config().link);
+}
+
+/// Registers one laptop receiver (id 1) and `n` mobile transmitters (id
+/// 100 + i) with `source`; request i ranges transmitter i against receiver
+/// antenna i % 3.
+std::vector<chronos::RangingRequest> make_requests(SimSweepSource& source,
+                                                   std::size_t n) {
+  const chronos::NodeId rx{1};
+  source.add_node(rx, sim::make_laptop({12.0, 9.0}, 0.3, 77));
+  std::vector<chronos::RangingRequest> reqs;
   for (std::size_t i = 0; i < n; ++i) {
+    const chronos::NodeId tx{100 + i};
     const double x = 2.0 + 0.7 * static_cast<double>(i % 11);
     const double y = 2.0 + 0.5 * static_cast<double>(i % 7);
-    reqs.push_back({sim::make_mobile({x, y}, 100 + i), 0, rx, i % 3});
+    source.add_node(tx, sim::make_mobile({x, y}, 100 + i));
+    reqs.push_back({{tx, 0}, {rx, i % 3}});
   }
   return reqs;
 }
@@ -67,10 +80,11 @@ void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
 }
 
 TEST(BatchDeterminism, ThreadCountNeverChangesResults) {
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
     for (const std::size_t batch_size : {1u, 5u, 12u}) {
-      const auto requests = make_requests(batch_size);
+      const auto requests = make_requests(*source, batch_size);
 
       mathx::Rng rng_seq(seed);
       const auto sequential =
@@ -99,8 +113,9 @@ TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
   // The documented contract, spelled out: request i is ranged on stream
   // base.split(i) where base = rng.fork(tag). Reproduce it by hand via two
   // identically-seeded engines and compare.
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(6);
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
+  const auto requests = make_requests(*source, 6);
 
   mathx::Rng rng_a(123);
   const auto batch = eng.measure_batch(requests, rng_a, BatchOptions{4});
@@ -119,17 +134,8 @@ TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
   // is split around it.
   constexpr std::size_t kLinks = 48;
   constexpr std::size_t kBad = 4;
-  auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_config().link);
-  inner->add_node(chronos::NodeId{1}, sim::make_laptop({12.0, 9.0}, 0.3, 77));
-  std::vector<chronos::RangingRequest> ids;
-  for (std::size_t i = 0; i < kLinks; ++i) {
-    const chronos::NodeId tx{100 + i};
-    const double x = 2.0 + 0.7 * static_cast<double>(i % 11);
-    const double y = 2.0 + 0.5 * static_cast<double>(i % 7);
-    inner->add_node(tx, sim::make_mobile({x, y}, 100 + i));
-    ids.push_back({{tx, 0}, {chronos::NodeId{1}, i % 3}});
-  }
+  const auto inner = fast_source(sim::office_20x20());
+  std::vector<chronos::RangingRequest> ids = make_requests(*inner, kLinks);
   ids[kBad].tx.node = chronos::NodeId{9999};  // never registered
   FaultProfile faults = FaultProfile::hostile(0.05);
   faults.p_outage = 0.3;  // retryable: makes the retry ladder run
@@ -176,8 +182,9 @@ TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
 TEST(BatchDeterminism, SuccessiveBatchesDiffer) {
   // fork() advances the caller's stream, so re-running the same batch on
   // the same Rng draws fresh noise (batches are not accidentally replayed).
-  const ChronosEngine eng(sim::anechoic(), fast_config());
-  const auto requests = make_requests(2);
+  const auto source = fast_source(sim::anechoic());
+  const ChronosEngine eng(source, fast_config());
+  const auto requests = make_requests(*source, 2);
   mathx::Rng rng(5);
   const auto first = eng.measure_batch(requests, rng);
   const auto second = eng.measure_batch(requests, rng);
@@ -185,18 +192,20 @@ TEST(BatchDeterminism, SuccessiveBatchesDiffer) {
 }
 
 TEST(BatchDeterminism, EmptyBatchIsValid) {
-  const ChronosEngine eng(sim::anechoic(), fast_config());
+  const ChronosEngine eng(fast_source(sim::anechoic()), fast_config());
   mathx::Rng rng(1);
-  const auto out = eng.measure_batch(std::vector<ResolvedRequest>{}, rng);
+  const auto out =
+      eng.measure_batch(std::vector<chronos::RangingRequest>{}, rng);
   EXPECT_TRUE(out.results.empty());
 }
 
 TEST(BatchDeterminism, BadRequestYieldsStatusNotAbort) {
   // API v2: one request the backend cannot serve gets its own non-ok
   // status; the other results are untouched and no exception escapes.
-  const ChronosEngine eng(sim::anechoic(), fast_config());
-  std::vector<ResolvedRequest> requests = make_requests(3);
-  requests[1].tx_antenna = 99;  // out of range -> status, not a throw
+  const auto source = fast_source(sim::anechoic());
+  const ChronosEngine eng(source, fast_config());
+  std::vector<chronos::RangingRequest> requests = make_requests(*source, 3);
+  requests[1].tx.antenna = 99;  // out of range -> status, not a throw
   mathx::Rng rng(1);
   const auto batch = eng.measure_batch(requests, rng, BatchOptions{4});
   ASSERT_EQ(batch.results.size(), requests.size());
@@ -212,8 +221,9 @@ TEST(BatchSession, SubmitDrainMatchesSynchronousMeasureBatch) {
   // The async path (submit_batch -> RangingSession::drain) must be
   // bit-identical to the synchronous call on the same seed — including how
   // far it advances the caller's rng.
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(8);
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
+  const auto requests = make_requests(*source, 8);
 
   mathx::Rng rng_sync(77);
   const auto sync = eng.measure_batch(requests, rng_sync, BatchOptions{1});
@@ -236,13 +246,14 @@ TEST(BatchSession, OutstandingSessionsCollectInAnyOrder) {
   // Pipelined ingestion: several batches in flight at once, collected in
   // reverse submission order, each bit-identical to its sequential
   // reference. The sessions all share the engine's persistent pool.
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
   constexpr std::size_t kBatches = 3;
 
-  std::vector<std::vector<ResolvedRequest>> requests;
+  std::vector<std::vector<chronos::RangingRequest>> requests;
   std::vector<BatchResult> reference;
   for (std::size_t b = 0; b < kBatches; ++b) {
-    requests.push_back(make_requests(3 + b));
+    requests.push_back(make_requests(*source, 3 + b));
     mathx::Rng rng(1000 + b);
     reference.push_back(
         eng.measure_batch(requests[b], rng, BatchOptions{1}));
@@ -263,10 +274,11 @@ TEST(BatchSession, OutstandingSessionsCollectInAnyOrder) {
 }
 
 TEST(BatchSession, PersistentPoolStartsLazilyAndNeverShrinks) {
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
   EXPECT_EQ(eng.session_threads(), 0u);  // nothing batched yet
 
-  const auto requests = make_requests(6);
+  const auto requests = make_requests(*source, 6);
   mathx::Rng rng(3);
   (void)eng.measure_batch(requests, rng, BatchOptions{1});
   EXPECT_EQ(eng.session_threads(), 0u);  // inline path never starts a pool
@@ -282,8 +294,9 @@ TEST(BatchSession, PersistentPoolStartsLazilyAndNeverShrinks) {
 }
 
 TEST(BatchSession, WaitAllAndAllDoneObserveCompletion) {
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(4);
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
+  const auto requests = make_requests(*source, 4);
   mathx::Rng rng(21);
   auto session = eng.submit_batch(requests, rng, BatchOptions{2});
   session.wait_all();
@@ -297,8 +310,9 @@ TEST(BatchSession, DroppedSessionIsSafe) {
   // Destroying a session without drain() must not crash, deadlock, or
   // disturb later batches (jobs finish against the shared pool and are
   // dropped).
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(5);
+  const auto source = fast_source(sim::office_20x20());
+  const ChronosEngine eng(source, fast_config());
+  const auto requests = make_requests(*source, 5);
   {
     mathx::Rng rng(33);
     auto session = eng.submit_batch(requests, rng, BatchOptions{2});
@@ -317,11 +331,12 @@ TEST(BatchSession, SessionOutlivesEngine) {
   // Sessions are self-contained: they co-own the pool, source, pipeline,
   // and calibration, so collecting after the engine died is legal and
   // bit-identical.
-  const auto requests = make_requests(4);
+  const auto source = fast_source(sim::office_20x20());
+  const auto requests = make_requests(*source, 4);
   RangingSession session;
   BatchResult reference;
   {
-    const ChronosEngine eng(sim::office_20x20(), fast_config());
+    const ChronosEngine eng(source, fast_config());
     mathx::Rng rng_ref(55);
     reference = eng.measure_batch(requests, rng_ref, BatchOptions{1});
     mathx::Rng rng(55);
@@ -335,9 +350,10 @@ TEST(BatchSession, SessionOutlivesEngine) {
 }
 
 TEST(BatchSession, AsyncBadRequestSurfacesAsStatusAtDrain) {
-  const ChronosEngine eng(sim::anechoic(), fast_config());
-  std::vector<ResolvedRequest> requests = make_requests(3);
-  requests[1].tx_antenna = 99;  // out of range -> status, not a throw
+  const auto source = fast_source(sim::anechoic());
+  const ChronosEngine eng(source, fast_config());
+  std::vector<chronos::RangingRequest> requests = make_requests(*source, 3);
+  requests[1].tx.antenna = 99;  // out of range -> status, not a throw
   mathx::Rng rng(1);
   auto session = eng.submit_batch(requests, rng, BatchOptions{2});
   const auto out = session.drain();
@@ -349,16 +365,22 @@ TEST(BatchSession, AsyncBadRequestSurfacesAsStatusAtDrain) {
 }
 
 TEST(BatchDeterminism, LocateBatchIsThreadCountInvariant) {
-  ChronosEngine eng(sim::office_20x20(), fast_config());
+  const auto source = test::sim_nodes(
+      sim::office_20x20(), fast_config().link,
+      {{chronos::NodeId{1}, sim::make_laptop({0.0, 0.0}, 0.3, 11)},
+       {chronos::NodeId{2}, sim::make_laptop({1.5, 0.0}, 0.3, 22)},
+       {chronos::NodeId{3}, sim::make_laptop({10.0, 12.0}, 0.3, 22)}});
+  ChronosEngine eng(source, fast_config());
   mathx::Rng cal_rng(9);
-  eng.calibrate(sim::make_laptop({0.0, 0.0}, 0.3, 11),
-                sim::make_laptop({1.5, 0.0}, 0.3, 22), cal_rng);
+  ASSERT_TRUE(
+      eng.calibrate(chronos::NodeId{1}, chronos::NodeId{2}, cal_rng).ok());
 
-  std::vector<ResolvedLocateRequest> jobs;
-  for (int i = 0; i < 4; ++i) {
-    const double x = 3.0 + 2.0 * i;
-    jobs.push_back({sim::make_mobile({x, 4.0}, 50 + static_cast<std::uint64_t>(i)),
-                    sim::make_laptop({10.0, 12.0}, 0.3, 22), std::nullopt});
+  std::vector<chronos::LocateRequest> jobs;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const chronos::NodeId tx{50 + i};
+    const double x = 3.0 + 2.0 * static_cast<double>(i);
+    source->add_node(tx, sim::make_mobile({x, 4.0}, 50 + i));
+    jobs.push_back({tx, chronos::NodeId{3}, std::nullopt});
   }
 
   mathx::Rng rng_seq(31);

@@ -7,6 +7,7 @@
 #include "core/engine.hpp"
 #include "core/ranging.hpp"
 #include "sim/link.hpp"
+#include "sim_nodes.hpp"
 
 namespace chronos::core {
 namespace {
@@ -97,10 +98,13 @@ TEST(ToaGate, GateRejectsLatticeGhostsAtLongRange) {
   // true distance; the same sweep without the gate is allowed to fail.
   EngineConfig with_gate;
   with_gate.ranging.use_toa_gate = true;
-  ChronosEngine eng(sim::office_20x20(), with_gate);
+  const auto source =
+      test::sim_nodes(sim::office_20x20(), with_gate.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)}});
+  ChronosEngine eng(source, with_gate);
   mathx::Rng rng(55);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
 
   int good = 0, trials = 0;
   for (int i = 0; i < 6; ++i) {
@@ -108,8 +112,9 @@ TEST(ToaGate, GateRejectsLatticeGhostsAtLongRange) {
     const geom::Vec2 b{14.0, 12.0};
     if (!sim::office_20x20().line_of_sight(a, b)) continue;
     ++trials;
-    const auto r = eng.measure_distance(sim::make_mobile(a, 11), 0,
-                                        sim::make_mobile(b, 22), 0, rng);
+    source->add_node(NodeId{3}, sim::make_mobile(a, 11));
+    source->add_node(NodeId{4}, sim::make_mobile(b, 22));
+    const auto r = eng.measure({{NodeId{3}, 0}, {NodeId{4}, 0}}, rng).value();
     if (std::abs(r.distance_m - geom::distance(a, b)) < 1.0) ++good;
   }
   ASSERT_GT(trials, 2);
@@ -136,13 +141,16 @@ TEST(ToaGate, FallsBackGracefullyWithoutCalibration) {
 
 TEST(Engine, CalibrationIsDeterministicGivenSeeds) {
   EngineConfig ec;
-  ChronosEngine a(sim::anechoic(), ec);
-  ChronosEngine b(sim::anechoic(), ec);
+  auto pair_source = [&] {
+    return test::sim_nodes(sim::anechoic(), ec.link,
+                           {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                            {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)}});
+  };
+  ChronosEngine a(pair_source(), ec);
+  ChronosEngine b(pair_source(), ec);
   mathx::Rng rng_a(9), rng_b(9);
-  const auto tx = sim::make_mobile({0.0, 0.0}, 11);
-  const auto rx = sim::make_mobile({1.0, 0.0}, 22);
-  a.calibrate(tx, rx, rng_a);
-  b.calibrate(tx, rx, rng_b);
+  ASSERT_TRUE(a.calibrate(NodeId{1}, NodeId{2}, rng_a).ok());
+  ASSERT_TRUE(b.calibrate(NodeId{1}, NodeId{2}, rng_b).ok());
   ASSERT_EQ(a.calibration().correction.size(),
             b.calibration().correction.size());
   for (std::size_t i = 0; i < a.calibration().correction.size(); ++i) {

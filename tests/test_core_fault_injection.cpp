@@ -21,6 +21,7 @@
 #include "core/fault_injection.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
+#include "sim_nodes.hpp"
 
 namespace chronos::core {
 namespace {
@@ -37,13 +38,29 @@ sim::LinkSimConfig fast_link() {
   return c;
 }
 
-std::vector<ResolvedRequest> make_requests(std::size_t n) {
-  std::vector<ResolvedRequest> reqs;
-  const auto rx = sim::make_laptop({12.0, 9.0}, 0.3, 77);
+/// The fast-plan office backend with the calibration pair registered:
+/// ids 1 and 2 are laptops with hardware seeds 11 and 22.
+std::shared_ptr<SimSweepSource> office_source() {
+  return test::sim_nodes(
+      sim::office_20x20(), fast_link(),
+      {{chronos::NodeId{1}, sim::make_laptop({0.0, 0.0}, 0.3, 11)},
+       {chronos::NodeId{2}, sim::make_laptop({1.5, 0.0}, 0.3, 22)}});
+}
+
+/// Registers one laptop receiver (id 3) and `n` mobile transmitters (id
+/// 100 + i) with `source`; request i ranges transmitter i against receiver
+/// antenna i % 3.
+std::vector<chronos::RangingRequest> make_requests(SimSweepSource& source,
+                                                   std::size_t n) {
+  const chronos::NodeId rx{3};
+  source.add_node(rx, sim::make_laptop({12.0, 9.0}, 0.3, 77));
+  std::vector<chronos::RangingRequest> reqs;
   for (std::size_t i = 0; i < n; ++i) {
+    const chronos::NodeId tx{100 + i};
     const double x = 2.0 + 0.7 * static_cast<double>(i % 11);
     const double y = 2.0 + 0.5 * static_cast<double>(i % 7);
-    reqs.push_back({sim::make_mobile({x, y}, 100 + i), 0, rx, i % 3});
+    source.add_node(tx, sim::make_mobile({x, y}, 100 + i));
+    reqs.push_back({{tx, 0}, {rx, i % 3}});
   }
   return reqs;
 }
@@ -77,20 +94,19 @@ EngineConfig engine_config(bool hostile_gate = true) {
   return ec;
 }
 
-/// One-time fixture calibration on a fixed seed (the ToA-consistency check
-/// needs a calibrated detection-delay bias).
+/// One-time fixture calibration of the office_source() pair on a fixed
+/// seed (the ToA-consistency check needs a calibrated detection-delay bias).
 void calibrate(ChronosEngine& eng) {
   mathx::Rng cal_rng(5);
-  eng.calibrate(sim::make_laptop({0.0, 0.0}, 0.3, 11),
-                sim::make_laptop({1.5, 0.0}, 0.3, 22), cal_rng);
+  ASSERT_TRUE(
+      eng.calibrate(chronos::NodeId{1}, chronos::NodeId{2}, cal_rng).ok());
 }
 
 TEST(FaultInjection, ZeroProfileIsBitIdenticalToUndecoratedBackend) {
   // The clean path hands the caller's rng to the inner backend untouched,
   // so decorating with an all-zero profile changes NOTHING — the property
   // that lets the injector wrap production sources unconditionally.
-  const auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto inner = office_source();
   ChronosEngine plain(inner, engine_config());
   calibrate(plain);
   ChronosEngine wrapped(
@@ -98,7 +114,7 @@ TEST(FaultInjection, ZeroProfileIsBitIdenticalToUndecoratedBackend) {
       engine_config());
   calibrate(wrapped);
 
-  const auto requests = make_requests(6);
+  const auto requests = make_requests(*inner, 6);
   mathx::Rng rng_a(9);
   const auto a = plain.measure_batch(requests, rng_a, BatchOptions{1});
   mathx::Rng rng_b(9);
@@ -118,14 +134,13 @@ TEST(FaultInjection, PlannedFaultGroundTruthMatchesRejectionStatuses) {
   // exactly which fault ticket i will suffer — and each fault class lands
   // in its documented status. This is the mapping the adversarial bench's
   // detection/false-reject accounting is built on.
-  const auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto inner = office_source();
   const auto injector = std::make_shared<FaultInjectingSweepSource>(
       inner, FaultProfile::hostile(0.13));
   ChronosEngine eng(injector, engine_config());
   calibrate(eng);
 
-  const auto requests = make_requests(48);
+  const auto requests = make_requests(*inner, 48);
   mathx::Rng rng(777);
   mathx::Rng probe(777);  // same seed -> same fork -> same split streams
   const mathx::Rng base = probe.fork(kBatchStreamTag);
@@ -171,13 +186,12 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
   // hostile gate, retries enabled — N threads bit-identical to the
   // sequential loop, including which tickets were faulted, how many
   // attempts each consumed, and every rejected ticket's status.
-  const auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto inner = office_source();
   ChronosEngine eng(std::make_shared<FaultInjectingSweepSource>(
                         inner, FaultProfile::hostile(0.1)),
                     engine_config());
   calibrate(eng);
-  const auto requests = make_requests(12);
+  const auto requests = make_requests(*inner, 12);
 
   BatchOptions sequential_opts{1};
   sequential_opts.retry = {3, 0.0};
@@ -218,12 +232,11 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
 TEST(FaultInjection, RetriesRecoverTransientOutages) {
   FaultProfile outages;
   outages.p_outage = 0.5;
-  const auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto inner = office_source();
   ChronosEngine eng(std::make_shared<FaultInjectingSweepSource>(inner, outages),
                     engine_config(/*hostile_gate=*/false));
   calibrate(eng);
-  const auto requests = make_requests(20);
+  const auto requests = make_requests(*inner, 20);
 
   // Without retries the outages surface raw.
   mathx::Rng rng_raw(3);
@@ -255,13 +268,12 @@ TEST(FaultInjection, RetriesRecoverTransientOutages) {
 TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
   FaultProfile always_down;
   always_down.p_outage = 1.0;
-  const auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto inner = office_source();
   ChronosEngine eng(
       std::make_shared<FaultInjectingSweepSource>(inner, always_down),
       engine_config(/*hostile_gate=*/false));
   calibrate(eng);
-  const auto requests = make_requests(3);
+  const auto requests = make_requests(*inner, 3);
 
   BatchOptions opts{1};
   opts.retry = {3, 0.0};
@@ -282,8 +294,7 @@ TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
 }
 
 TEST(FaultInjection, RejectsIllFormedProfiles) {
-  const auto inner =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto inner = office_source();
   FaultProfile over;
   over.p_outage = 0.7;
   over.p_truncate = 0.5;  // sum > 1

@@ -8,6 +8,7 @@
 #include "core/ranging.hpp"
 #include "sim/link.hpp"
 #include "sim/scenario.hpp"
+#include "sim_nodes.hpp"
 
 namespace chronos::core {
 namespace {
@@ -54,15 +55,17 @@ TEST(Ranging, IdealOfficeMultipathFindsDirectPath) {
 
 TEST(Ranging, FullImpairmentsWithCalibrationInOffice) {
   EngineConfig ec;
-  ChronosEngine eng(sim::office_20x20(), ec);
+  ChronosEngine eng(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)},
+                       {NodeId{3}, sim::make_mobile({3.0, 3.0}, 11)},
+                       {NodeId{4}, sim::make_mobile({8.0, 6.0}, 22)}}),
+      ec);
   mathx::Rng rng(7);
-  const auto tx0 = sim::make_mobile({0.0, 0.0}, 11);
-  const auto rx0 = sim::make_mobile({1.0, 0.0}, 22);
-  eng.calibrate(tx0, rx0, rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
 
-  const auto tx = sim::make_mobile({3.0, 3.0}, 11);
-  const auto rx = sim::make_mobile({8.0, 6.0}, 22);
-  const auto r = eng.measure_distance(tx, 0, rx, 0, rng);
+  const auto r = eng.measure({{NodeId{3}, 0}, {NodeId{4}, 0}}, rng).value();
   ASSERT_TRUE(r.peak_found);
   EXPECT_NEAR(r.distance_m, std::hypot(5.0, 3.0), 0.5);
   // Detection delay estimate lands in the Fig 7c ballpark.
@@ -72,12 +75,16 @@ TEST(Ranging, FullImpairmentsWithCalibrationInOffice) {
 
 TEST(Ranging, CandidatesAuditTrailIsPopulated) {
   EngineConfig ec;
-  ChronosEngine eng(sim::office_20x20(), ec);
+  ChronosEngine eng(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)},
+                       {NodeId{3}, sim::make_mobile({3.0, 3.0}, 11)},
+                       {NodeId{4}, sim::make_mobile({7.0, 5.0}, 22)}}),
+      ec);
   mathx::Rng rng(7);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = eng.measure_distance(sim::make_mobile({3.0, 3.0}, 11), 0,
-                                      sim::make_mobile({7.0, 5.0}, 22), 0, rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
+  const auto r = eng.measure({{NodeId{3}, 0}, {NodeId{4}, 0}}, rng).value();
   ASSERT_TRUE(r.peak_found);
   ASSERT_FALSE(r.candidates.empty());
   std::size_t accepted = 0;
@@ -109,12 +116,15 @@ TEST(Ranging, CalibrationRemovesHardwareBias) {
   ec.link = link_cfg;
   ec.ranging.combining.quirk_fix = false;
   ec.ranging.use_toa_gate = false;
-  ChronosEngine eng(sim::anechoic(), ec);
+  ChronosEngine eng(
+      test::sim_nodes(sim::anechoic(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)},
+                       {NodeId{3}, sim::make_mobile({6.0, 0.0}, 22)}}),
+      ec);
   mathx::Rng rng(2);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = eng.measure_distance(sim::make_mobile({0.0, 0.0}, 11), 0,
-                                      sim::make_mobile({6.0, 0.0}, 22), 0, rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
+  const auto r = eng.measure({{NodeId{1}, 0}, {NodeId{3}, 0}}, rng).value();
   EXPECT_NEAR(r.distance_m, 6.0, 0.05);
 }
 
@@ -185,15 +195,18 @@ TEST(Localization, RejectsDegenerateInput) {
 }
 
 TEST(Localization, EngineLocateEndToEnd) {
-  EngineConfig ec;
-  ChronosEngine eng(sim::office_20x20(), ec);
-  mathx::Rng rng(21);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_laptop({1.0, 0.0}, 0.3, 22), rng);
   const geom::Vec2 truth{4.0, 4.0};
-  const auto tx = sim::make_mobile(truth, 11);
-  const auto rx = sim::make_laptop({9.0, 7.0}, 0.3, 22);
-  const auto out = eng.locate(tx, rx, rng);
+  EngineConfig ec;
+  ChronosEngine eng(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_laptop({1.0, 0.0}, 0.3, 22)},
+                       {NodeId{3}, sim::make_mobile(truth, 11)},
+                       {NodeId{4}, sim::make_laptop({9.0, 7.0}, 0.3, 22)}}),
+      ec);
+  mathx::Rng rng(21);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
+  const auto out = eng.locate(NodeId{3}, NodeId{4}, rng).value();
   ASSERT_TRUE(out.result.valid);
   EXPECT_EQ(out.antenna_distances_m.size(), 3u);
   EXPECT_LT(geom::distance(out.result.position, truth), 2.5);
@@ -201,11 +214,16 @@ TEST(Localization, EngineLocateEndToEnd) {
 
 TEST(Localization, EngineLocateNeedsMultiAntennaReceiver) {
   EngineConfig ec;
-  ChronosEngine eng(sim::anechoic(), ec);
+  const ChronosEngine eng(
+      test::sim_nodes(sim::anechoic(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0})},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0})}}),
+      ec);
   mathx::Rng rng(1);
-  EXPECT_THROW((void)eng.locate(sim::make_mobile({0.0, 0.0}),
-                                sim::make_mobile({1.0, 0.0}), rng),
-               std::invalid_argument);
+  chronos::Result<LocateOutcome> out{
+      chronos::Status{chronos::StatusCode::kInternal, "unset"}};
+  EXPECT_NO_THROW(out = eng.locate(NodeId{1}, NodeId{2}, rng));
+  EXPECT_EQ(out.status().code(), chronos::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "phy/csi_io.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
+#include "sim_nodes.hpp"
 
 namespace chronos::core {
 namespace {
@@ -64,30 +65,40 @@ TEST(SimSweepSource, MatchesDirectSimulatorBitExactly) {
   }
   // Both drew the same amount from their streams.
   EXPECT_EQ(rng_direct.uniform(0.0, 1.0), rng_seam.uniform(0.0, 1.0));
+
+  // Resolved requests built without resolve() (RangingSession::
+  // submit_group callers) are bounds-checked too: an out-of-range antenna
+  // on either side is a Status, never a throw or an out-of-bounds read.
+  for (const auto& bad : {ResolvedRequest{tx, 1, rx, 1},    // tx: 1 antenna
+                          ResolvedRequest{tx, 0, rx, 3}}) {  // rx: 3
+    mathx::Rng rng_bad(42);
+    chronos::Result<phy::SweepMeasurement> result{
+        chronos::Status{chronos::StatusCode::kInternal, "unset"}};
+    EXPECT_NO_THROW(result = source.sweep_for(bad, rng_bad));
+    EXPECT_EQ(result.status().code(), chronos::StatusCode::kAntennaOutOfRange);
+  }
 }
 
-TEST(SimSweepSource, EngineOnExplicitSourceMatchesClassicEngine) {
+TEST(SimSweepSource, EngineMeasureMatchesDirectPipeline) {
+  // measure() on registered ids ranges exactly the resolved devices: the
+  // same bits as sweeping them by hand and running the engine's pipeline.
   const auto ec = fast_config();
-  const ChronosEngine classic(sim::office_20x20(), ec);
-  const ChronosEngine seamed(
-      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
-
   const auto tx = sim::make_mobile({2.0, 2.0}, 5);
   const auto rx = sim::make_mobile({9.0, 6.0}, 6);
-  mathx::Rng rng_a(11);
-  mathx::Rng rng_b(11);
-  expect_bitwise_equal(classic.measure_distance(tx, 0, rx, 0, rng_a),
-                       seamed.measure_distance(tx, 0, rx, 0, rng_b));
+  const ChronosEngine engine(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{NodeId{5}, tx}, {NodeId{6}, rx}}),
+      ec);
 
-  std::vector<ResolvedRequest> requests = {{tx, 0, rx, 0}, {rx, 0, tx, 0}};
-  mathx::Rng rng_c(12);
-  mathx::Rng rng_d(12);
-  const auto batch_a = classic.measure_batch(requests, rng_c, BatchOptions{2});
-  const auto batch_b = seamed.measure_batch(requests, rng_d, BatchOptions{2});
-  ASSERT_EQ(batch_a.results.size(), batch_b.results.size());
-  for (std::size_t i = 0; i < batch_a.results.size(); ++i) {
-    expect_bitwise_equal(batch_a.results[i], batch_b.results[i]);
-  }
+  mathx::Rng rng_engine(11);
+  mathx::Rng rng_direct(11);
+  const auto measured =
+      engine.measure({{NodeId{5}, 0}, {NodeId{6}, 0}}, rng_engine).value();
+  const auto sweep =
+      engine.source().sweep_for(ResolvedRequest{tx, 0, rx, 0}, rng_direct);
+  expect_bitwise_equal(measured, engine.pipeline().estimate(
+                                     sweep.value(), engine.calibration()));
+  EXPECT_EQ(rng_engine.uniform(0.0, 1.0), rng_direct.uniform(0.0, 1.0));
 }
 
 TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
@@ -114,7 +125,9 @@ TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
 
   const ChronosEngine engine(trace, ec);
   mathx::Rng replay_rng(1);
-  const auto replayed = engine.measure_distance(tx, 0, rx, 0, replay_rng);
+  // Trace node ids are the recording devices' hardware seeds.
+  const auto replayed =
+      engine.measure({{NodeId{21}, 0}, {NodeId{22}, 0}}, replay_rng).value();
 
   const RangingPipeline pipeline(engine.source().bands(), ec.ranging);
   const auto direct = pipeline.estimate(sweep);
@@ -137,7 +150,7 @@ TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
   const sim::LinkSimulator link(sim::office_20x20(), ec.link);
 
   auto trace = std::make_shared<TraceSweepSource>();
-  std::vector<ResolvedRequest> requests;
+  std::vector<chronos::RangingRequest> requests;
   mathx::Rng record_rng(5);
   const auto rx = sim::make_laptop({12.0, 9.0}, 0.3, 99);
   for (std::uint64_t d = 0; d < 6; ++d) {
@@ -145,7 +158,7 @@ TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
                                      200 + d);
     trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
                      link.simulate_sweep(tx, 0, rx, 0, record_rng));
-    requests.push_back({tx, 0, rx, 0});
+    requests.push_back({{NodeId{200 + d}, 0}, {NodeId{99}, 0}});
   }
 
   const ChronosEngine engine(trace, ec);
@@ -226,10 +239,13 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
 
 TEST(Engine, SetCalibrationInstallsRecordedTable) {
   const auto ec = fast_config();
-  ChronosEngine sim_engine(sim::office_20x20(), ec);
+  ChronosEngine sim_engine(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 1)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 2)}}),
+      ec);
   mathx::Rng cal_rng(15);
-  sim_engine.calibrate(sim::make_mobile({0.0, 0.0}, 1),
-                       sim::make_mobile({1.0, 0.0}, 2), cal_rng);
+  ASSERT_TRUE(sim_engine.calibrate(NodeId{1}, NodeId{2}, cal_rng).ok());
 
   // Record one sweep and replay it on a trace engine that inherits the sim
   // engine's calibration table; both engines must estimate identically.
@@ -247,7 +263,9 @@ TEST(Engine, SetCalibrationInstallsRecordedTable) {
   trace_engine.set_calibration(sim_engine.calibration());
 
   mathx::Rng replay_rng(1);
-  const auto replayed = trace_engine.measure_distance(tx, 0, rx, 0, replay_rng);
+  const auto replayed =
+      trace_engine.measure({{NodeId{51}, 0}, {NodeId{52}, 0}}, replay_rng)
+          .value();
   const auto direct = sim_engine.pipeline().estimate(sweep,
                                                      sim_engine.calibration());
   EXPECT_EQ(replayed.tof_s, direct.tof_s);
@@ -258,11 +276,12 @@ TEST(Engine, BackendIdentityAndDerivedTraceDirectory) {
   // ChronosEngine::link() is gone (PR 5): source() + the registry cover
   // every former caller, for simulator and trace backends alike.
   const auto ec = fast_config();
-  const ChronosEngine sim_engine(sim::office_20x20(), ec);
-
   const sim::LinkSimulator link(sim::office_20x20(), ec.link);
   const auto tx = sim::make_mobile({3.0, 3.0}, 61);
   const auto rx = sim::make_laptop({6.0, 6.0}, 0.3, 62);
+  const auto sim_source = test::sim_nodes(sim::office_20x20(), ec.link,
+                                          {{NodeId{61}, tx}, {NodeId{62}, rx}});
+  const ChronosEngine sim_engine(sim_source, ec);
   auto trace = std::make_shared<TraceSweepSource>();
   mathx::Rng rng(2);
   trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 2}),
@@ -281,6 +300,17 @@ TEST(Engine, BackendIdentityAndDerivedTraceDirectory) {
   EXPECT_EQ(registry.nodes().size(), 2u);
   EXPECT_EQ(registry.antenna_count(chronos::NodeId{9}).status().code(),
             chronos::StatusCode::kUnknownNode);
+
+  // The simulator's directory is writable: re-registering an id replaces
+  // its device (a node that moved) instead of adding a second entry.
+  EXPECT_EQ(sim_engine.registry().nodes().size(), 2u);
+  sim_source->add_node(NodeId{61}, sim::make_mobile({5.0, 1.0}, 61));
+  EXPECT_EQ(sim_engine.registry().nodes().size(), 2u);
+  const auto moved = sim_engine.source().resolve({{NodeId{61}, 0},
+                                                  {NodeId{62}, 0}});
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved.value().tx.antennas.front().x, 5.0);
+  EXPECT_EQ(moved.value().tx.antennas.front().y, 1.0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "mathx/constants.hpp"
 #include "mathx/stats.hpp"
 #include "sim/scenario.hpp"
+#include "sim_nodes.hpp"
 
 namespace chronos {
 namespace {
@@ -20,12 +21,15 @@ class DistanceLinearity : public ::testing::TestWithParam<double> {};
 TEST_P(DistanceLinearity, TofTracksDistance) {
   const double d = GetParam();
   core::EngineConfig ec;
-  core::ChronosEngine eng(sim::anechoic(), ec);
+  core::ChronosEngine eng(
+      test::sim_nodes(sim::anechoic(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)},
+                       {NodeId{3}, sim::make_mobile({d, 0.0}, 22)}}),
+      ec);
   mathx::Rng rng(13);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = eng.measure_distance(sim::make_mobile({0.0, 0.0}, 11), 0,
-                                      sim::make_mobile({d, 0.0}, 22), 0, rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
+  const auto r = eng.measure({{NodeId{1}, 0}, {NodeId{3}, 0}}, rng).value();
   ASSERT_TRUE(r.peak_found);
   EXPECT_NEAR(r.distance_m, d, 0.05 + 0.01 * d);
 }
@@ -39,13 +43,16 @@ INSTANTIATE_TEST_SUITE_P(Distances, DistanceLinearity,
 // who initiates).
 TEST(Integration, RoleSwapGivesSameDistance) {
   core::EngineConfig ec;
-  core::ChronosEngine eng(sim::office_20x20(), ec);
+  const NodeId a{1}, b{2};
+  core::ChronosEngine eng(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{a, sim::make_mobile({3.0, 4.0}, 11)},
+                       {b, sim::make_mobile({8.0, 9.0}, 22)}}),
+      ec);
   mathx::Rng rng(17);
-  const auto a = sim::make_mobile({3.0, 4.0}, 11);
-  const auto b = sim::make_mobile({8.0, 9.0}, 22);
-  eng.calibrate(a, b, rng);
-  const auto ab = eng.measure_distance(a, 0, b, 0, rng);
-  const auto ba = eng.measure_distance(b, 0, a, 0, rng);
+  ASSERT_TRUE(eng.calibrate(a, b, rng).ok());
+  const auto ab = eng.measure({{a, 0}, {b, 0}}, rng).value();
+  const auto ba = eng.measure({{b, 0}, {a, 0}}, rng).value();
   ASSERT_TRUE(ab.peak_found);
   ASSERT_TRUE(ba.peak_found);
   EXPECT_NEAR(ab.distance_m, ba.distance_m, 0.4);
@@ -55,14 +62,18 @@ TEST(Integration, RoleSwapGivesSameDistance) {
 // spread across sweeps is far below the absolute accuracy requirement.
 TEST(Integration, RepeatedMeasurementsAreStable) {
   core::EngineConfig ec;
-  core::ChronosEngine eng(sim::office_20x20(), ec);
+  const NodeId tx{1}, rx{2};
+  core::ChronosEngine eng(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{tx, sim::make_mobile({4.0, 3.0}, 11)},
+                       {rx, sim::make_mobile({9.0, 7.0}, 22)}}),
+      ec);
   mathx::Rng rng(19);
-  const auto tx = sim::make_mobile({4.0, 3.0}, 11);
-  const auto rx = sim::make_mobile({9.0, 7.0}, 22);
-  eng.calibrate(tx, rx, rng);
+  ASSERT_TRUE(eng.calibrate(tx, rx, rng).ok());
   std::vector<double> estimates;
   for (int i = 0; i < 8; ++i) {
-    estimates.push_back(eng.measure_distance(tx, 0, rx, 0, rng).distance_m);
+    estimates.push_back(
+        eng.measure({{tx, 0}, {rx, 0}}, rng).value().distance_m);
   }
   EXPECT_LT(mathx::stddev(estimates), 0.15);
 }
@@ -71,12 +82,15 @@ TEST(Integration, RepeatedMeasurementsAreStable) {
 // point of §5. ToA (slope) and ToF must differ by ~the detection pipeline.
 TEST(Integration, TofIsFreeOfDetectionDelay) {
   core::EngineConfig ec;
-  core::ChronosEngine eng(sim::office_20x20(), ec);
+  const NodeId tx{1}, rx{2};
+  core::ChronosEngine eng(
+      test::sim_nodes(sim::office_20x20(), ec.link,
+                      {{tx, sim::make_mobile({3.0, 3.0}, 11)},
+                       {rx, sim::make_mobile({7.0, 6.0}, 22)}}),
+      ec);
   mathx::Rng rng(23);
-  const auto tx = sim::make_mobile({3.0, 3.0}, 11);
-  const auto rx = sim::make_mobile({7.0, 6.0}, 22);
-  eng.calibrate(tx, rx, rng);
-  const auto r = eng.measure_distance(tx, 0, rx, 0, rng);
+  ASSERT_TRUE(eng.calibrate(tx, rx, rng).ok());
+  const auto r = eng.measure({{tx, 0}, {rx, 0}}, rng).value();
   ASSERT_TRUE(r.peak_found);
   EXPECT_LT(r.tof_s, 60e-9);        // a real indoor ToF
   EXPECT_GT(r.toa_s, 150e-9);       // raw arrival includes ~180 ns delay
@@ -93,12 +107,16 @@ TEST(Integration, SmallerBaselineIsWorse) {
     const auto pl = scen.sample_pair_los(rng, 2.0, 10.0);
     for (const double sep : {0.15, 1.2}) {
       core::EngineConfig ec;
-      core::ChronosEngine eng(scen.environment(), ec);
+      core::ChronosEngine eng(
+          test::sim_nodes(scen.environment(), ec.link,
+                          {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                           {NodeId{2}, sim::make_laptop({1.5, 0.0}, sep, 22)},
+                           {NodeId{3}, sim::make_mobile(pl.tx, 11)},
+                           {NodeId{4}, sim::make_laptop(pl.rx, sep, 22)}}),
+          ec);
       mathx::Rng cal_rng(5);
-      eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                    sim::make_laptop({1.5, 0.0}, sep, 22), cal_rng);
-      const auto out = eng.locate(sim::make_mobile(pl.tx, 11),
-                                  sim::make_laptop(pl.rx, sep, 22), rng);
+      ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, cal_rng).ok());
+      const auto out = eng.locate(NodeId{3}, NodeId{4}, rng).value();
       if (!out.result.valid) continue;
       const double err = geom::distance(out.result.position, pl.tx);
       (sep < 0.5 ? err_small_total : err_large_total) += err;
@@ -112,14 +130,19 @@ TEST(Integration, SmallerBaselineIsWorse) {
 TEST(Integration, ProfilesStaySparse) {
   const auto scen = sim::office_testbed(42);
   core::EngineConfig ec;
-  core::ChronosEngine eng(scen.environment(), ec);
+  const auto source =
+      test::sim_nodes(scen.environment(), ec.link,
+                      {{NodeId{1}, sim::make_mobile({0.0, 0.0}, 11)},
+                       {NodeId{2}, sim::make_mobile({1.0, 0.0}, 22)}});
+  core::ChronosEngine eng(source, ec);
   mathx::Rng rng(29);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{1}, NodeId{2}, rng).ok());
   for (int i = 0; i < 6; ++i) {
     const auto pl = scen.sample_pair(rng, 1.0, 12.0);
-    const auto r = eng.measure_distance(sim::make_mobile(pl.tx, 11), 0,
-                                        sim::make_mobile(pl.rx, 22), 0, rng);
+    // The calibrated cards at this placement (replacing the last one).
+    source->add_node(NodeId{3}, sim::make_mobile(pl.tx, 11));
+    source->add_node(NodeId{4}, sim::make_mobile(pl.rx, 22));
+    const auto r = eng.measure({{NodeId{3}, 0}, {NodeId{4}, 0}}, rng).value();
     const auto dominant = core::dominant_peak_count(r.profile, 0.2);
     EXPECT_GE(dominant, 1u);
     EXPECT_LE(dominant, 16u);

@@ -34,9 +34,9 @@ int main() {
   for (int i = 0; i < 10; ++i) {
     const double x = 2.5 + 1.6 * i;
     const double y = 3.0 + (i % 2 == 0 ? 0.0 : 11.0);
-    fleet.push_back(
-        sim::make_mobile({x, y}, 100 + static_cast<std::uint64_t>(i)));
-    source->add_node(fleet.back());  // id = hardware seed (100 + i)
+    const std::uint64_t seed = 100 + static_cast<std::uint64_t>(i);
+    fleet.push_back(sim::make_mobile({x, y}, seed));
+    source->add_node(NodeId{seed}, fleet.back());  // id = hardware seed
   }
 
   core::ChronosEngine engine(source, config);

@@ -105,7 +105,7 @@ core::EngineConfig to_engine_config(const EngineOptions& options) {
   return config;
 }
 
-[[nodiscard]] Status check_node_spec(const NodeSpec& spec) {
+Status check_node_spec(const NodeSpec& spec) {
   if (spec.antennas.empty()) {
     return {StatusCode::kInvalidArgument,
             "node " + std::to_string(spec.id.value) +

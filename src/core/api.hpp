@@ -104,7 +104,7 @@ class NodeRegistry {
   virtual bool has_node(NodeId id) const = 0;
 
   /// Number of antennas of `id`, or kUnknownNode.
-  [[nodiscard]] virtual Result<std::size_t> antenna_count(NodeId id) const = 0;
+  virtual Result<std::size_t> antenna_count(NodeId id) const = 0;
 
   /// Every registered node id, ascending (diagnostics / enumeration).
   virtual std::vector<NodeId> nodes() const = 0;
@@ -112,7 +112,7 @@ class NodeRegistry {
   /// Checks both endpoints of `request` against the directory: kOk, or the
   /// first failure (kUnknownNode / kAntennaOutOfRange) with a message
   /// naming the offending endpoint.
-  [[nodiscard]] Status validate(const RangingRequest& request) const;
+  Status validate(const RangingRequest& request) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -277,11 +277,11 @@ class RangingSession {
   /// Admits `request` if the queue has room NOW: returns its ticket, or
   /// kQueueFull (the request is NOT enqueued — resubmit after collecting),
   /// or a registry/validation error. Never blocks.
-  [[nodiscard]] Result<std::uint64_t> try_submit(const RangingRequest& request);
+  Result<std::uint64_t> try_submit(const RangingRequest& request);
 
   /// Like try_submit, but blocks until queue space frees up. Returns
   /// registry/validation errors without blocking.
-  [[nodiscard]] Result<std::uint64_t> submit(const RangingRequest& request);
+  Result<std::uint64_t> submit(const RangingRequest& request);
 
   std::size_t queue_depth() const;
   /// Requests admitted so far (== the next ticket to be issued).
@@ -320,13 +320,13 @@ class Engine {
 
   /// Simulator-backed engine over a named environment, with `deployment`'s
   /// nodes pre-registered. kInvalidArgument on duplicate/invalid specs.
-  [[nodiscard]] static Result<Engine> create_simulated(
+  static Result<Engine> create_simulated(
       const SimDeployment& deployment, const EngineOptions& options = {});
 
   /// Recorded-trace engine: loads every link's csi_io file. Reports
   /// kMalformedSweep / kBandMismatch / file errors per the first failing
   /// link. Pair with set_calibration() for a recorded calibration table.
-  [[nodiscard]] static Result<Engine> create_replay(
+  static Result<Engine> create_replay(
       const TraceDeployment& deployment, const EngineOptions& options = {});
 
   /// Wraps an explicit backend (power users composing their own
@@ -340,13 +340,13 @@ class Engine {
   /// Registers (or replaces) a node on backends with a writable directory
   /// (simulator); kUnavailable on replay backends, whose directory is
   /// fixed by the recorded traces.
-  [[nodiscard]] Status add_node(const NodeSpec& node);
+  Status add_node(const NodeSpec& node);
 
   /// One-time fixture calibration of a device pair (paper §7): simulated
   /// anechoic fixture at a known distance, backend-independent by
   /// construction. Requires resolvable node descriptions — kUnavailable on
   /// backends without them (install a recorded table instead).
-  [[nodiscard]] Status calibrate(NodeId tx, NodeId rx, mathx::Rng& rng);
+  Status calibrate(NodeId tx, NodeId rx, mathx::Rng& rng);
 
   /// Installs a pre-computed calibration table (e.g. recorded alongside a
   /// trace campaign).
@@ -354,17 +354,17 @@ class Engine {
   const core::CalibrationTable& calibration() const;
 
   /// Time-of-flight / distance for one request.
-  [[nodiscard]] Result<core::RangingResult> measure(
+  Result<core::RangingResult> measure(
       const RangingRequest& request, mathx::Rng& rng) const;
 
   /// The raw calibrated sweep `request` would measure — for recording
   /// campaigns (phy::save_sweep) and diagnostics.
-  [[nodiscard]] Result<phy::SweepMeasurement> capture_sweep(
+  Result<phy::SweepMeasurement> capture_sweep(
       const RangingRequest& request, mathx::Rng& rng) const;
 
   /// Runs the estimation pipeline on an externally produced sweep (e.g.
   /// one loaded with phy::load_sweep), using this engine's calibration.
-  [[nodiscard]] Result<core::RangingResult> estimate(
+  Result<core::RangingResult> estimate(
       const phy::SweepMeasurement& sweep) const;
 
   /// Ranges every request on the persistent session pool; results in
@@ -383,7 +383,7 @@ class Engine {
 
   /// Device-to-device localization (paper §8). Requires a backend with
   /// node geometry (simulator) and a receiver with >= 2 antennas.
-  [[nodiscard]] Result<LocateOutcome> locate(
+  Result<LocateOutcome> locate(
       NodeId tx, NodeId rx, mathx::Rng& rng,
       const std::optional<geom::Vec2>& hint = std::nullopt,
       const BatchOptions& options = {}) const;

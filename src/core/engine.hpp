@@ -97,9 +97,9 @@ class ChronosEngine {
   /// at the configured known distance). kUnknownNode for unregistered ids;
   /// kUnavailable on backends without device descriptions (install a
   /// recorded table via set_calibration instead).
-  [[nodiscard]] chronos::Status calibrate(chronos::NodeId tx,
-                                          chronos::NodeId rx,
-                                          mathx::Rng& rng);
+  chronos::Status calibrate(chronos::NodeId tx,
+                            chronos::NodeId rx,
+                            mathx::Rng& rng);
 
   /// Installs a pre-computed calibration table (e.g. one recorded alongside
   /// a trace, or built offline with calibrate_from_sweeps).
@@ -110,19 +110,19 @@ class ChronosEngine {
   /// Time-of-flight / distance for one id-based request: resolution
   /// failures (unknown node, antenna out of range, unrecorded link) come
   /// back as the Status — never as an exception.
-  [[nodiscard]] chronos::Result<RangingResult> measure(
+  chronos::Result<RangingResult> measure(
       const chronos::RangingRequest& request, mathx::Rng& rng) const;
 
   /// The raw calibrated sweep `request` would measure — for recording
   /// campaigns (phy::save_sweep) and diagnostics. Draws from `rng` exactly
   /// like measure() does before estimation.
-  [[nodiscard]] chronos::Result<phy::SweepMeasurement> capture_sweep(
+  chronos::Result<phy::SweepMeasurement> capture_sweep(
       const chronos::RangingRequest& request, mathx::Rng& rng) const;
 
   /// Runs the estimation pipeline on an externally produced sweep using
   /// this engine's calibration (kMalformedSweep / kBandMismatch when the
   /// sweep does not fit the pipeline's band plan).
-  [[nodiscard]] chronos::Result<RangingResult> estimate(
+  chronos::Result<RangingResult> estimate(
       const phy::SweepMeasurement& sweep) const;
 
   // --------------------------------------------------------------- batches
@@ -165,7 +165,7 @@ class ChronosEngine {
   /// receiver with >= 2 antennas — failures come back in the Status.
   /// `options` sizes the worker fan-out; results are identical for every
   /// setting.
-  [[nodiscard]] chronos::Result<LocateOutcome> locate(
+  chronos::Result<LocateOutcome> locate(
       chronos::NodeId tx, chronos::NodeId rx, mathx::Rng& rng,
       const std::optional<geom::Vec2>& hint = std::nullopt,
       const BatchOptions& options = {}) const;

@@ -118,14 +118,13 @@ class FaultInjectingSweepSource final : public SweepSource {
 
   // NodeRegistry (forwarded to the wrapped backend)
   bool has_node(chronos::NodeId id) const override;
-  [[nodiscard]] chronos::Result<std::size_t> antenna_count(chronos::NodeId id)
-      const override;
+  chronos::Result<std::size_t> antenna_count(chronos::NodeId id) const override;
   std::vector<chronos::NodeId> nodes() const override;
 
   // SweepSource
-  [[nodiscard]] chronos::Result<ResolvedRequest> resolve(
+  chronos::Result<ResolvedRequest> resolve(
       const chronos::RangingRequest& request) const override;
-  [[nodiscard]] chronos::Result<phy::SweepMeasurement> sweep_for(
+  chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const override;
   const std::vector<phy::WifiBand>& bands() const override;
   bool has_geometry() const override;

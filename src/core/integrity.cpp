@@ -10,11 +10,11 @@ namespace chronos::core {
 
 namespace {
 
-[[nodiscard]] chronos::Status malformed(const std::string& message) {
+chronos::Status malformed(const std::string& message) {
   return {chronos::StatusCode::kMalformedSweep, message};
 }
 
-[[nodiscard]] chronos::Status violation(const std::string& message) {
+chronos::Status violation(const std::string& message) {
   return {chronos::StatusCode::kIntegrityViolation, message};
 }
 
@@ -44,7 +44,7 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
   return n == 0 ? 0.0 : acc / static_cast<double>(n);
 }
 
-[[nodiscard]] chronos::Status screen_sweep(const phy::SweepMeasurement& sweep,
+chronos::Status screen_sweep(const phy::SweepMeasurement& sweep,
                              std::span<const phy::WifiBand> plan,
                              const IntegrityConfig& config) {
   const std::size_t n_subcarriers = phy::intel5300_subcarrier_indices().size();

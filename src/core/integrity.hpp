@@ -107,7 +107,7 @@ struct IntegrityConfig {
 /// Pre-solve screening of `sweep` against the pipeline's band `plan`:
 /// kOk, kMalformedSweep (structural damage), or kIntegrityViolation
 /// (identity/freshness/power violations) per the enabled checks.
-[[nodiscard]] chronos::Status screen_sweep(const phy::SweepMeasurement& sweep,
+chronos::Status screen_sweep(const phy::SweepMeasurement& sweep,
                              std::span<const phy::WifiBand> plan,
                              const IntegrityConfig& config);
 

@@ -78,14 +78,13 @@ class RangingSession {
   /// Never blocks. Capacity is checked BEFORE resolution (rejection is
   /// the hot path of a saturating producer), so a full queue reports
   /// kQueueFull even for requests that would not resolve.
-  [[nodiscard]] chronos::Result<std::uint64_t> try_submit(
+  chronos::Result<std::uint64_t> try_submit(
       const chronos::RangingRequest& request);
 
   /// Like try_submit, but blocks until a slot frees. Resolution failures
   /// return without blocking. Must not be called from a pool worker (a
   /// full queue would then deadlock against itself).
-  [[nodiscard]] chronos::Result<std::uint64_t> submit(
-      const chronos::RangingRequest& request);
+  chronos::Result<std::uint64_t> submit(const chronos::RangingRequest& request);
 
   /// Pre-resolved admission of a whole group: claims requests.size()
   /// consecutive tickets and ranges them as ONE job that drains the group

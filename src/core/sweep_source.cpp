@@ -21,12 +21,12 @@ std::vector<phy::WifiBand> bands_of(const phy::SweepMeasurement& sweep) {
   return bands;
 }
 
-[[nodiscard]] chronos::Status unknown_node(chronos::NodeId id) {
+chronos::Status unknown_node(chronos::NodeId id) {
   return {chronos::StatusCode::kUnknownNode,
           "no node with id " + std::to_string(id.value)};
 }
 
-[[nodiscard]] chronos::Status antenna_out_of_range(
+chronos::Status antenna_out_of_range(
     const chronos::AntennaRef& ref, std::size_t arity) {
   return {chronos::StatusCode::kAntennaOutOfRange,
           "node " + std::to_string(ref.node.value) + " has " +
@@ -49,11 +49,6 @@ void SimSweepSource::add_node(chronos::NodeId id, sim::Device device) {
                   "a registered node needs at least one antenna");
   chronos::MutexLock lock(nodes_mutex_);
   nodes_[id] = std::move(device);
-}
-
-void SimSweepSource::add_node(sim::Device device) {
-  const chronos::NodeId id{device.hardware_seed};
-  add_node(id, std::move(device));
 }
 
 bool SimSweepSource::has_node(chronos::NodeId id) const {

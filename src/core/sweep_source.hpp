@@ -79,7 +79,7 @@ class SweepSource : public chronos::NodeRegistry {
  public:
   /// Resolves a public id-based request against this backend's directory:
   /// kUnknownNode / kAntennaOutOfRange / kUnknownLink on failure.
-  [[nodiscard]] virtual chronos::Result<ResolvedRequest> resolve(
+  virtual chronos::Result<ResolvedRequest> resolve(
       const chronos::RangingRequest& request) const = 0;
 
   /// The calibrated per-band sweep for `req`, or the Status explaining why
@@ -88,7 +88,7 @@ class SweepSource : public chronos::NodeRegistry {
   /// out of bounds: resolved requests are also built directly for
   /// RangingSession::submit_group (e.g. by locate's pair loop), without
   /// passing through resolve().
-  [[nodiscard]] virtual chronos::Result<phy::SweepMeasurement> sweep_for(
+  virtual chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const = 0;
 
   /// Bands every sweep from this source covers, in sweep order.
@@ -117,19 +117,16 @@ class SimSweepSource final : public SweepSource {
   /// Registers (or replaces) `device` under `id`. Thread-safe: a moving
   /// node re-registers under its id while ranging runs.
   void add_node(chronos::NodeId id, sim::Device device);
-  /// Shorthand: id = device.hardware_seed.
-  void add_node(sim::Device device);
 
   // NodeRegistry
   bool has_node(chronos::NodeId id) const override;
-  [[nodiscard]] chronos::Result<std::size_t> antenna_count(chronos::NodeId id)
-      const override;
+  chronos::Result<std::size_t> antenna_count(chronos::NodeId id) const override;
   std::vector<chronos::NodeId> nodes() const override;
 
   // SweepSource
-  [[nodiscard]] chronos::Result<ResolvedRequest> resolve(
+  chronos::Result<ResolvedRequest> resolve(
       const chronos::RangingRequest& request) const override;
-  [[nodiscard]] chronos::Result<phy::SweepMeasurement> sweep_for(
+  chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const override;
   const std::vector<phy::WifiBand>& bands() const override;
   bool has_geometry() const override { return true; }
@@ -185,12 +182,12 @@ class TraceSweepSource final : public SweepSource {
   /// Records `sweep` under `key`: kMalformedSweep when the sweep is
   /// structurally invalid, kBandMismatch when its bands disagree with the
   /// bands established by the first recorded sweep.
-  [[nodiscard]] chronos::Status try_add_sweep(const TraceKey& key,
+  chronos::Status try_add_sweep(const TraceKey& key,
                                 phy::SweepMeasurement sweep);
 
   /// Loads a phy::csi_io trace file and records it under `key` (adds file
   /// open/parse failures to the try_add_sweep statuses).
-  [[nodiscard]] chronos::Status try_add_sweep_file(const TraceKey& key,
+  chronos::Status try_add_sweep_file(const TraceKey& key,
                                      const std::string& path);
 
   /// Throwing convenience wrappers (std::invalid_argument on failure) for
@@ -200,14 +197,13 @@ class TraceSweepSource final : public SweepSource {
 
   // NodeRegistry
   bool has_node(chronos::NodeId id) const override;
-  [[nodiscard]] chronos::Result<std::size_t> antenna_count(chronos::NodeId id)
-      const override;
+  chronos::Result<std::size_t> antenna_count(chronos::NodeId id) const override;
   std::vector<chronos::NodeId> nodes() const override;
 
   // SweepSource
-  [[nodiscard]] chronos::Result<ResolvedRequest> resolve(
+  chronos::Result<ResolvedRequest> resolve(
       const chronos::RangingRequest& request) const override;
-  [[nodiscard]] chronos::Result<phy::SweepMeasurement> sweep_for(
+  chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const override;
   const std::vector<phy::WifiBand>& bands() const override;
   bool has_geometry() const override { return false; }

@@ -132,6 +132,10 @@ constexpr std::optional<StatusCode> code_from_name(std::string_view name) {
 /// [[nodiscard]] at class scope: ignoring a returned Status silently
 /// swallows the error channel, so every discard is a compile warning
 /// (-Werror in this tree) unless explicitly (void)-cast with a reason.
+/// The class attribute covers every by-value return — free, member or
+/// virtual — so declarations carry no per-function [[nodiscard]]; the
+/// `lint_nodiscard_*` compile fixtures (tests/lint/nodiscard_fixture.cpp)
+/// prove the compiler rejects each kind of discard.
 class [[nodiscard]] Status {
  public:
   /// Default = success.
@@ -139,7 +143,7 @@ class [[nodiscard]] Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
-  [[nodiscard]] static Status Ok() { return Status(); }
+  static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -167,6 +171,7 @@ class [[nodiscard]] Status {
 /// Expected-style carrier: either a value or a non-ok Status. Implicitly
 /// constructible from both so `return {StatusCode::kUnknownNode, "..."};`
 /// and `return some_value;` both read naturally.
+/// [[nodiscard]] at class scope, like Status.
 template <typename T>
 class [[nodiscard]] Result {
  public:

@@ -57,7 +57,7 @@ class ChronosClient {
 
   /// Hello/ack handshake. kVersionMismatch when the daemon speaks another
   /// protocol version; kUnavailable when the connection drops first.
-  [[nodiscard]] chronos::Status connect();
+  chronos::Status connect();
 
   /// Deployment shape from the ack (valid after connect()).
   std::uint16_t server_shards() const { return server_shards_; }
@@ -65,8 +65,7 @@ class ChronosClient {
 
   /// Sends one request. The returned index is the position of its reply
   /// in drain()'s vector (dense, submission order).
-  [[nodiscard]] chronos::Result<std::size_t> submit(
-      const chronos::RangingRequest& request);
+  chronos::Result<std::size_t> submit(const chronos::RangingRequest& request);
 
   /// Blocks until every submitted request has a FINAL reply (resubmitting
   /// through kQueueFull rejections along the way); returns the replies in
@@ -76,7 +75,7 @@ class ChronosClient {
   std::vector<RangingReply> drain();
 
   /// Says goodbye and closes the stream.
-  [[nodiscard]] chronos::Status close();
+  chronos::Status close();
 
   std::size_t submitted() const { return pending_.size(); }
   /// Total kQueueFull round-trips over the life of this client.

@@ -30,21 +30,19 @@ class Stream {
   virtual ~Stream() = default;
 
   /// Queues `bytes` for the peer. kUnavailable once either side closed.
-  [[nodiscard]] virtual chronos::Status send(
-      std::span<const std::uint8_t> bytes) = 0;
+  virtual chronos::Status send(std::span<const std::uint8_t> bytes) = 0;
 
   /// Non-blocking receive: appends every currently buffered byte to
   /// `out` and returns how many were appended; 0 means nothing is
   /// buffered right now (check closed() to distinguish "not yet" from
   /// "never again").
-  [[nodiscard]] virtual chronos::Result<std::size_t> try_recv(
+  virtual chronos::Result<std::size_t> try_recv(
       std::vector<std::uint8_t>& out) = 0;
 
   /// Blocking receive: waits until at least one byte is available or the
   /// pipe is closed and drained, then behaves like try_recv. Returns 0
   /// only when closed() is true.
-  [[nodiscard]] virtual chronos::Result<std::size_t> recv(
-      std::vector<std::uint8_t>& out) = 0;
+  virtual chronos::Result<std::size_t> recv(std::vector<std::uint8_t>& out) = 0;
 
   /// Closes this endpoint: no further send() from either side succeeds;
   /// bytes already buffered remain receivable by the peer.

@@ -49,14 +49,13 @@ void write_sweep(std::ostream& os, const SweepMeasurement& sweep) {
 namespace {
 
 /// Shorthand for the parser's rejection statuses.
-[[nodiscard]] chronos::Status malformed(const std::string& message) {
+chronos::Status malformed(const std::string& message) {
   return {chronos::StatusCode::kMalformedSweep, message};
 }
 
 }  // namespace
 
-[[nodiscard]] chronos::Result<SweepMeasurement> try_read_sweep(
-    std::istream& is) {
+chronos::Result<SweepMeasurement> try_read_sweep(std::istream& is) {
   SweepMeasurement sweep;
   std::vector<WifiBand> bands;
   std::string line;
@@ -197,8 +196,7 @@ void save_sweep(const std::string& path, const SweepMeasurement& sweep) {
   CHRONOS_EXPECTS(os.good(), "write failed: " + path);
 }
 
-[[nodiscard]] chronos::Result<SweepMeasurement> try_load_sweep(
-    const std::string& path) {
+chronos::Result<SweepMeasurement> try_load_sweep(const std::string& path) {
   std::ifstream is(path);
   if (!is.good()) {
     return chronos::Status{chronos::StatusCode::kMalformedSweep,

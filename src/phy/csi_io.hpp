@@ -34,8 +34,7 @@ void write_sweep(std::ostream& os, const SweepMeasurement& sweep);
 ///   * kMalformedSweep  every other structural violation — parse errors,
 ///                      truncated forward/reverse exchanges, non-finite
 ///                      values, wrong subcarrier counts, trailing garbage.
-[[nodiscard]] chronos::Result<SweepMeasurement> try_read_sweep(
-    std::istream& is);
+chronos::Result<SweepMeasurement> try_read_sweep(std::istream& is);
 
 /// Throwing wrapper around try_read_sweep (std::invalid_argument), for
 /// tooling that treats a bad trace as fatal.
@@ -43,8 +42,7 @@ SweepMeasurement read_sweep(std::istream& is);
 
 /// Convenience file wrappers. The try_ variant adds kMalformedSweep for an
 /// unopenable file; the throwing ones throw std::invalid_argument.
-[[nodiscard]] chronos::Result<SweepMeasurement> try_load_sweep(
-    const std::string& path);
+chronos::Result<SweepMeasurement> try_load_sweep(const std::string& path);
 void save_sweep(const std::string& path, const SweepMeasurement& sweep);
 SweepMeasurement load_sweep(const std::string& path);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <string>
@@ -88,6 +89,7 @@ enum class SinglePathInput {
   kScaledDown,   ///< h * 1e-3
   kScaledUp,     ///< h * 1e3
   kLaterPath,    ///< h plus a weaker path arriving later
+  kBandPermutation,  ///< bands visited in another order, plan to match
 };
 
 class SparseSolverKindCase
@@ -99,18 +101,31 @@ std::string single_path_case_name(
         std::tuple<SparseSolverKind, SinglePathInput>>& info) {
   static constexpr const char* kSolver[] = {"Ista", "Fista", "Omp"};
   static constexpr const char* kInput[] = {"Base", "GlobalPhase", "ScaledDown",
-                                           "ScaledUp", "LaterPath"};
+                                           "ScaledUp", "LaterPath",
+                                           "BandPermutation"};
   return std::string(kSolver[static_cast<int>(std::get<0>(info.param))]) +
          kInput[static_cast<int>(std::get<1>(info.param))];
 }
 
 TEST_P(SparseSolverKindCase, RecoversSinglePath) {
   const DelayGrid grid{0.0, 60e-9, 0.25e-9};
-  NdftSolver solver(plan_frequencies(), grid);
   const double tau = 17e-9;  // on-grid (68 * 0.25 ns)
   const auto [kind, input] = GetParam();
 
-  auto h = synth_channel(plan_frequencies(), {{tau, 1.0}});
+  const auto plan = plan_frequencies();
+  auto freqs = plan;
+  if (input == SinglePathInput::kBandPermutation) {
+    // Band i of the sweep is plan band (13 i + 5) mod 35; 13 is coprime
+    // to 35, so this visits every band exactly once.
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      freqs[i] = plan[(13 * i + 5) % plan.size()];
+    }
+    ASSERT_NE(freqs, plan);
+    ASSERT_TRUE(std::is_permutation(freqs.begin(), freqs.end(), plan.begin()));
+  }
+  NdftSolver solver(freqs, grid);
+
+  auto h = synth_channel(freqs, {{tau, 1.0}});
   switch (input) {
     case SinglePathInput::kBase:
       break;
@@ -124,7 +139,9 @@ TEST_P(SparseSolverKindCase, RecoversSinglePath) {
       for (auto& v : h) v *= 1e3;
       break;
     case SinglePathInput::kLaterPath:
-      h = synth_channel(plan_frequencies(), {{tau, 1.0}, {29e-9, 0.5}});
+      h = synth_channel(freqs, {{tau, 1.0}, {29e-9, 0.5}});
+      break;
+    case SinglePathInput::kBandPermutation:
       break;
   }
 
@@ -156,7 +173,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          SinglePathInput::kGlobalPhase,
                                          SinglePathInput::kScaledDown,
                                          SinglePathInput::kScaledUp,
-                                         SinglePathInput::kLaterPath)),
+                                         SinglePathInput::kLaterPath,
+                                         SinglePathInput::kBandPermutation)),
     single_path_case_name);
 
 TEST(Ndft, FistaResolvesThreePathsOfFig4) {

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -30,8 +31,6 @@
 #include "core/ndft_kernels.hpp"
 #include "core/subcarrier_interp.hpp"
 #include "mathx/constants.hpp"
-#include "mathx/fft.hpp"
-#include "mathx/rng.hpp"
 #include "mathx/spline.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
@@ -95,17 +94,11 @@ const std::vector<MicroKernel>& kernels() {
     const auto freqs = plan_freqs();
     const auto h = test_channel();
 
-    // Cold plan build: matrix recurrence + spectral-norm power iteration
-    // (what every *distinct* (freqs, grid, weights) key pays once).
+    // Plan build: matrix recurrence + spectral-norm power iteration (what
+    // every NdftSolver, and so every RangingPipeline, pays at construction).
     ks.push_back({"BM_NdftPlanBuild", "ndft_plan_build", [freqs] {
                     const core::NdftPlan plan(freqs, kGrid, {});
                     return plan.gamma();
-                  }});
-    // Cached construction: what repeated pipeline/solver construction pays
-    // after this PR (a shared_ptr handoff from the plan cache).
-    ks.push_back({"BM_NdftConstruction", "ndft_construct_cached", [freqs] {
-                    const core::NdftSolver solver(freqs, kGrid);
-                    return solver.gamma();
                   }});
 
     auto solver = std::make_shared<core::NdftSolver>(freqs, kGrid);
@@ -178,15 +171,6 @@ const std::vector<MicroKernel>& kernels() {
                     mathx::CubicSpline s(x, y);
                     return s(14.5);
                   }});
-
-    mathx::Rng rng(1);
-    std::vector<std::complex<double>> x(64);
-    for (auto& v : x) v = rng.complex_gaussian(1.0);
-    ks.push_back({"BM_Fft64", "fft64", [x] {
-                    auto copy = x;
-                    mathx::fft_pow2(copy);
-                    return copy[0].real();
-                  }});
     return ks;
   }();
   return all;
@@ -198,7 +182,7 @@ volatile double g_sink = 0.0;
 /// accumulated in one batch; returns ns per op.
 double measure_ns_per_op(const std::function<double()>& fn, double min_ms) {
   using clock = std::chrono::steady_clock;
-  g_sink = g_sink + fn();  // warmup (first-touch, plan cache, tls workspace)
+  g_sink = g_sink + fn();  // warmup (first-touch, tls workspace)
   std::size_t batch = 1;
   for (;;) {
     const auto t0 = clock::now();

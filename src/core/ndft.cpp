@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
@@ -68,7 +69,7 @@ void dispatch_gradient(const NdftPlan& plan, const double* y_re,
 
 NdftSolver::NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
                        std::vector<double> row_weights)
-    : plan_(NdftPlan::get_or_create(row_freqs_hz, grid, row_weights)) {}
+    : plan_(std::move(row_freqs_hz), grid, std::move(row_weights)) {}
 
 void NdftSolver::sparsify(std::span<std::complex<double>> p,
                           double threshold) {
@@ -101,7 +102,7 @@ double NdftSolver::effective_alpha(NdftWorkspace& ws,
   // std::abs pass without thousands of hypot calls.
   double peak_sq = 0.0;
   std::size_t peak_k = 0;
-  for (std::size_t k = 0; k < plan_->cols(); ++k) {
+  for (std::size_t k = 0; k < plan_.cols(); ++k) {
     const double msq = ws.b_re[k] * ws.b_re[k] + ws.b_im[k] * ws.b_im[k];
     if (msq > peak_sq) {
       peak_sq = msq;
@@ -120,12 +121,12 @@ double NdftSolver::effective_alpha(NdftWorkspace& ws,
 
 std::vector<std::complex<double>> NdftSolver::synthesize(
     std::span<const std::complex<double>> p) const {
-  return plan_->matrix().multiply(p);
+  return plan_.matrix().multiply(p);
 }
 
 std::vector<std::complex<double>> NdftSolver::apply_weights(
     std::span<const std::complex<double>> h) const {
-  const auto& weights = plan_->row_weights();
+  const auto& weights = plan_.row_weights();
   CHRONOS_EXPECTS(h.size() == weights.size(),
                   "weight application size mismatch");
   std::vector<std::complex<double>> out(h.size());
@@ -135,14 +136,14 @@ std::vector<std::complex<double>> NdftSolver::apply_weights(
 
 double NdftSolver::matched_filter(std::span<const std::complex<double>> h,
                                   double delay_s) const {
-  return plan_->matched_filter(h, delay_s);
+  return plan_.matched_filter(h, delay_s);
 }
 
 void NdftSolver::matched_filter_scan(std::span<const std::complex<double>> h,
                                      double u0, double du, std::size_t count,
                                      std::span<double> out) const {
   CHRONOS_EXPECTS(out.size() >= count, "scan output buffer too small");
-  plan_->matched_filter_scan(h, u0, du, count, out.data());
+  plan_.matched_filter_scan(h, u0, du, count, out.data());
 }
 
 double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
@@ -157,7 +158,7 @@ double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
   constexpr int kScanPoints = 61;
   const double scan_step = (hi0 - lo0) / (kScanPoints - 1);
   double scan[kScanPoints];
-  plan_->matched_filter_scan(h, lo0, scan_step, kScanPoints, scan);
+  plan_.matched_filter_scan(h, lo0, scan_step, kScanPoints, scan);
   int best_i = 0;
   for (int i = 1; i < kScanPoints; ++i) {
     if (scan[i] > scan[best_i]) best_i = i;
@@ -168,7 +169,7 @@ double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
   for (int it = 0; it < 50; ++it) {
     const double m1 = lo + (hi - lo) / 3.0;
     const double m2 = hi - (hi - lo) / 3.0;
-    if (plan_->matched_filter(h, m1) < plan_->matched_filter(h, m2)) {
+    if (plan_.matched_filter(h, m1) < plan_.matched_filter(h, m2)) {
       lo = m1;
     } else {
       hi = m2;
@@ -202,7 +203,7 @@ SparseSolveResult NdftSolver::solve_fista(
 SparseSolveResult NdftSolver::solve_proximal(
     std::span<const std::complex<double>> h, const IstaOptions& opts,
     NdftWorkspace& ws, bool momentum) const {
-  const NdftPlan& plan = *plan_;
+  const NdftPlan& plan = plan_;
   const std::size_t n = plan.rows();
   const std::size_t m = plan.cols();
   CHRONOS_EXPECTS(h.size() == n, "channel vector/row count mismatch");
@@ -370,7 +371,7 @@ std::vector<std::complex<double>> solve_complex_linear(
 
 SparseSolveResult NdftSolver::solve_omp(
     std::span<const std::complex<double>> h, std::size_t max_paths) const {
-  const NdftPlan& plan = *plan_;
+  const NdftPlan& plan = plan_;
   const mathx::ComplexMatrix& f = plan.matrix();
   const std::size_t n = plan.rows();
   const std::size_t m = plan.cols();

@@ -18,15 +18,15 @@
 //  * OMP   — greedy orthogonal matching pursuit, a classic sparse baseline.
 //
 // Performance: all solver entry points run on the structure-exploiting
-// kernel layer in core/ndft_kernels.hpp — shared cached plans (split-complex
-// SoA Fourier matrix + precomputed step size), caller-owned workspaces that
-// make the iteration loops allocation-free, an active-set forward product
-// once the iterate is sparse, and recurrence matched-filter scans.
+// kernel layer in core/ndft_kernels.hpp — the solver's own plan
+// (split-complex SoA Fourier matrix + precomputed step size), caller-owned
+// workspaces that make the iteration loops allocation-free, an active-set
+// forward product once the iterate is sparse, and recurrence matched-filter
+// scans.
 #pragma once
 
 #include <complex>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -67,9 +67,9 @@ struct SparseSolveResult {
 /// exponent (h^8) distorts their magnitudes relative to the shared sparse
 /// model — they still contribute phase aperture, just with less authority.
 ///
-/// Construction consults the process-wide NdftPlan cache: building two
-/// solvers with identical (frequencies, grid, weights) shares one matrix
-/// and one spectral-norm run.
+/// Construction builds the solver's NdftPlan (the matrix and one
+/// spectral-norm run). Every solve method is const and keeps its scratch in
+/// a workspace, so one solver is shared across threads instead of rebuilt.
 class NdftSolver {
  public:
   NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
@@ -140,14 +140,14 @@ class NdftSolver {
   double refine_delay(std::span<const std::complex<double>> h,
                       double coarse_delay_s, double half_width_s) const;
 
-  const mathx::ComplexMatrix& matrix() const { return plan_->matrix(); }
-  const DelayGrid& grid() const { return plan_->grid(); }
-  double gamma() const { return plan_->gamma(); }
-  /// The shared kernel plan backing this solver.
-  const NdftPlan& plan() const { return *plan_; }
+  const mathx::ComplexMatrix& matrix() const { return plan_.matrix(); }
+  const DelayGrid& grid() const { return plan_.grid(); }
+  double gamma() const { return plan_.gamma(); }
+  /// The kernel plan backing this solver.
+  const NdftPlan& plan() const { return plan_; }
   /// Per-row weights (all ones when defaulted).
   const std::vector<double>& row_weights() const {
-    return plan_->row_weights();
+    return plan_.row_weights();
   }
   /// Applies the row weights to a raw measurement vector (h_i -> w_i h_i).
   std::vector<std::complex<double>> apply_weights(
@@ -165,7 +165,7 @@ class NdftSolver {
                                    const IstaOptions& opts, NdftWorkspace& ws,
                                    bool momentum) const;
 
-  std::shared_ptr<const NdftPlan> plan_;
+  NdftPlan plan_;
 };
 
 }  // namespace chronos::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "mathx/annotations.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
 
@@ -104,7 +103,7 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
     im_[i] = flat[i].imag();
   }
   // The fixed-seed power iteration makes gamma a pure function of the key,
-  // which is what lets cached plans reproduce uncached numerics exactly.
+  // so two independently built plans for one key are bitwise identical.
   // All-zero weights give sigma == 0; such degenerate plans must not
   // assert — gamma = 0 makes the solvers take zero-length steps and
   // converge immediately to p = 0 (pinned by the degenerate-input tests).
@@ -198,113 +197,6 @@ void NdftPlan::gradient_toeplitz_scatter(const double* y_re,
     gr[c] -= br[c];
     gi[c] -= bi[c];
   }
-}
-
-namespace {
-
-struct PlanCacheEntry {
-  std::shared_ptr<const NdftPlan> plan;
-};
-
-/// Oldest-entry eviction bound. A plan stores the matrix twice (dense
-/// complex for the matrix() API and OMP, SoA planes for the kernels):
-/// 2*n*m*16 bytes, ~1.3 MB for the default ranging grid (35 x 1201) and
-/// ~4.5 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
-/// comfortably covers every distinct (band plan, grid, weights) combination
-/// a process mixes in practice while bounding worst-case retention.
-constexpr std::size_t kPlanCacheMax = 32;
-
-bool key_matches(const NdftPlan& plan, std::span<const double> freqs,
-                 const DelayGrid& grid, std::span<const double> weights) {
-  const DelayGrid& g = plan.grid();
-  return g.min_s == grid.min_s && g.max_s == grid.max_s &&
-         g.step_s == grid.step_s &&
-         plan.row_freqs_hz().size() == freqs.size() &&
-         std::equal(freqs.begin(), freqs.end(),
-                    plan.row_freqs_hz().begin()) &&
-         plan.row_weights().size() == weights.size() &&
-         std::equal(weights.begin(), weights.end(),
-                    plan.row_weights().begin());
-}
-
-/// The process-wide plan cache as one annotated capability: the entry
-/// vector is CHRONOS_GUARDED_BY the cache mutex, so every lookup,
-/// insertion, size query, and eviction is provably locked at compile time
-/// (clang -Wthread-safety) — the pre-annotation code kept the mutex and
-/// the vector in two unrelated function-local statics, which the analysis
-/// cannot tie together.
-class PlanCache {
- public:
-  std::shared_ptr<const NdftPlan> find(std::span<const double> freqs,
-                                       const DelayGrid& grid,
-                                       std::span<const double> weights) const
-      CHRONOS_REQUIRES(mutex) {
-    for (const auto& e : entries_) {
-      if (key_matches(*e.plan, freqs, grid, weights)) return e.plan;
-    }
-    return nullptr;
-  }
-
-  /// Inserts `plan`, evicting the oldest entry at the kPlanCacheMax bound.
-  void insert(std::shared_ptr<const NdftPlan> plan) CHRONOS_REQUIRES(mutex) {
-    if (entries_.size() >= kPlanCacheMax) entries_.erase(entries_.begin());
-    entries_.push_back({std::move(plan)});
-  }
-
-  std::size_t size() const CHRONOS_REQUIRES(mutex) { return entries_.size(); }
-  void clear() CHRONOS_REQUIRES(mutex) { entries_.clear(); }
-
-  mutable chronos::Mutex mutex;
-
- private:
-  std::vector<PlanCacheEntry> entries_ CHRONOS_GUARDED_BY(mutex);
-};
-
-PlanCache& plan_cache() {
-  static PlanCache cache;
-  return cache;
-}
-
-}  // namespace
-
-std::shared_ptr<const NdftPlan> NdftPlan::get_or_create(
-    std::span<const double> row_freqs_hz, const DelayGrid& grid,
-    std::span<const double> row_weights) {
-  CHRONOS_EXPECTS(!row_freqs_hz.empty(), "need at least one row frequency");
-  // Normalise the defaulted-weights spelling so both share one cache entry.
-  std::vector<double> weights(row_weights.begin(), row_weights.end());
-  if (weights.empty()) weights.assign(row_freqs_hz.size(), 1.0);
-
-  PlanCache& cache = plan_cache();
-  {
-    chronos::MutexLock lock(cache.mutex);
-    if (auto hit = cache.find(row_freqs_hz, grid, weights)) return hit;
-  }
-
-  // Build outside the lock: construction runs a spectral-norm power
-  // iteration, and blocking unrelated pipelines on it would serialise
-  // batch-engine startup. A racing duplicate build is resolved below by
-  // keeping the first inserted plan (both are bitwise identical anyway).
-  auto built = std::make_shared<const NdftPlan>(
-      std::vector<double>(row_freqs_hz.begin(), row_freqs_hz.end()), grid,
-      weights);
-
-  chronos::MutexLock lock(cache.mutex);
-  if (auto hit = cache.find(row_freqs_hz, grid, weights)) return hit;
-  cache.insert(built);
-  return built;
-}
-
-std::size_t NdftPlan::cache_size() {
-  PlanCache& cache = plan_cache();
-  chronos::MutexLock lock(cache.mutex);
-  return cache.size();
-}
-
-void NdftPlan::clear_cache() {
-  PlanCache& cache = plan_cache();
-  chronos::MutexLock lock(cache.mutex);
-  cache.clear();
 }
 
 void NdftPlan::forward(const double* p_re, const double* p_im, double* out_re,

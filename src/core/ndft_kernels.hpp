@@ -11,9 +11,10 @@
 //    for the public NdftSolver::matrix() API and the OMP atom algebra) and as
 //    split-complex SoA planes (separate real/imag row-major arrays) whose
 //    plain double loops auto-vectorize, plus the power-iteration step size
-//    gamma = 1/||F||_2^2. Plans are shared through a process-wide cache so
-//    repeated pipeline construction (fleet scenarios, benches, tests) pays
-//    the O(n*m) build and the spectral-norm iteration once.
+//    gamma = 1/||F||_2^2. Each NdftSolver builds and owns its plan; code that
+//    needs one plan on many threads shares the solver (or the pipeline that
+//    holds it), never a process-wide table. The build is deterministic, so
+//    two plans built for the same key are bitwise identical.
 //  * NdftWorkspace — caller-owned scratch sized for one plan, so the
 //    ISTA/FISTA iteration loops run with zero heap allocations.
 //  * Kernels — forward (dense and active-set), adjoint, fused gradient
@@ -40,7 +41,6 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -88,23 +88,10 @@ struct NdftWorkspace {
 /// only immutable state.
 class NdftPlan {
  public:
-  /// Builds a plan without consulting the cache (tests, one-off grids).
+  /// Builds the plan. Empty `row_weights` default to all ones; empty
+  /// `row_freqs_hz` or a weight-count mismatch throw.
   NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
            std::vector<double> row_weights);
-
-  /// Returns the shared plan for this key, building it on first use. The
-  /// cache is process-wide, bounded, and guarded by an annotated
-  /// chronos::Mutex capability (every entry access is provably locked
-  /// under clang -Wthread-safety); keys compare by
-  /// exact (bitwise) equality of frequencies, grid, and weights, so a hit
-  /// is guaranteed to reproduce the original plan's numerics (gamma comes
-  /// from a fixed-seed power iteration and is therefore deterministic).
-  static std::shared_ptr<const NdftPlan> get_or_create(
-      std::span<const double> row_freqs_hz, const DelayGrid& grid,
-      std::span<const double> row_weights);
-
-  static std::size_t cache_size();
-  static void clear_cache();
 
   std::size_t rows() const { return n_; }
   std::size_t cols() const { return m_; }

@@ -34,16 +34,17 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
   // the same base stream for every shard, addressed by global ticket.
   const mathx::Rng base = rng.fork(core::kBatchStreamTag);
 
+  // One pipeline for every shard. It is immutable and its solve scratch is
+  // each worker thread's own workspace, so shards read it concurrently
+  // without contending; only the worker pools and sessions are per shard.
+  const auto pipeline = std::make_shared<const core::RangingPipeline>(
+      source_->bands(), shard_config);
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
     Shard shard;
     shard.pool = std::make_shared<core::WorkerPool>(options.shard_threads);
-    // Each shard owns its pipeline instance: private solver plan handle
-    // and per-worker workspaces, so shards never contend on solve state.
-    shard.pipeline = std::make_shared<const core::RangingPipeline>(
-        source_->bands(), shard_config);
     shard.session = core::open_ranging_session(
-        shard.pool, source_, shard.pipeline, calibration_, base,
+        shard.pool, source_, pipeline, calibration_, base,
         options.shard_queue_depth, options.retry);
     shards_.push_back(std::move(shard));
   }
@@ -62,12 +63,6 @@ std::vector<std::size_t> ChronosDaemon::shard_admitted() const {
   counts.reserve(shards_.size());
   for (const Shard& s : shards_) counts.push_back(s.admitted);
   return counts;
-}
-
-const core::RangingPipeline& ChronosDaemon::shard_pipeline(
-    std::size_t shard) const {
-  CHRONOS_EXPECTS(shard < shards_.size(), "shard index out of range");
-  return *shards_[shard].pipeline;
 }
 
 void ChronosDaemon::send_frame(Connection& conn,

@@ -1,13 +1,13 @@
 // chronosd: the sharded ranging daemon frontend.
 //
 // One ChronosDaemon owns the backend directory (its SweepSource doubles as
-// the NodeRegistry) and N engine shards. A shard is a WorkerPool, its OWN
-// RangingPipeline instance (own solver plan handle and workspaces — one
-// hot shard cannot contend another's solve state), and one sharded
-// RangingSession. Requests route to shards by a splitmix64 hash of the
-// transmitter NodeId, so every request of a given transmitter serialises
-// through one shard's bounded queue while distinct transmitters spread
-// across pools.
+// the NodeRegistry), one immutable RangingPipeline, and N engine shards. A
+// shard is a WorkerPool and one sharded RangingSession over that shared
+// pipeline; solve scratch lives in each worker thread's own workspace, so
+// one hot shard cannot contend another's solve state. Requests route to
+// shards by a splitmix64 hash of the transmitter NodeId, so every request
+// of a given transmitter serialises through one shard's bounded queue
+// while distinct transmitters spread across pools.
 //
 // Determinism over the wire (the loopback e2e test pins this): the daemon
 // forks its rng ONCE at construction — rng.fork(kBatchStreamTag), the same
@@ -26,7 +26,7 @@
 // simply admitted later, as if it had arrived later. Resolution failures
 // DO consume a ticket (push_failed), mirroring batch index alignment.
 //
-// Trust boundary: clients are untrusted by default — every shard pipeline
+// Trust boundary: clients are untrusted by default — the shared pipeline
 // is built with IntegrityConfig::hostile() armed, so spoofed/corrupted
 // sweeps surface as per-request kIntegrityViolation instead of skewing
 // ranges (paper's adversary model; see core/integrity.hpp). Deployments
@@ -78,7 +78,7 @@ struct DaemonOptions {
   std::size_t shard_threads = 1;
   /// Per-request retry budget, same semantics as BatchOptions::retry.
   chronos::RetryPolicy retry{};
-  /// When false (default), every shard pipeline arms
+  /// When false (default), the shared pipeline arms
   /// IntegrityConfig::hostile() on top of the caller's RangingConfig.
   bool trusted_clients = false;
 };
@@ -96,9 +96,9 @@ struct DaemonStats {
 class ChronosDaemon {
  public:
   /// `source` is the backend (directory + sweeps); `config` the ranging
-  /// configuration every shard pipeline is built from (hostile integrity
-  /// is layered on unless trusted_clients); `calibration` is shared by
-  /// all shards. Forks `rng` exactly once.
+  /// configuration the one pipeline all shards share is built from
+  /// (hostile integrity is layered on unless trusted_clients);
+  /// `calibration` is shared by all shards. Forks `rng` exactly once.
   ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
                 const core::RangingConfig& config,
                 core::CalibrationTable calibration, mathx::Rng& rng,
@@ -130,13 +130,10 @@ class ChronosDaemon {
   /// Global tickets admitted per shard (distribution diagnostics).
   std::vector<std::size_t> shard_admitted() const;
   const DaemonStats& stats() const { return stats_; }
-  /// The shard's private pipeline (tests pin per-shard isolation).
-  const core::RangingPipeline& shard_pipeline(std::size_t shard) const;
 
  private:
   struct Shard {
     std::shared_ptr<core::WorkerPool> pool;
-    std::shared_ptr<const core::RangingPipeline> pipeline;
     core::RangingSession session;
     /// Wire metadata of in-flight local tickets, FIFO: local tickets are
     /// dense and next() collects in local-ticket order, so front() is

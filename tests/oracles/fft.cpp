@@ -1,4 +1,4 @@
-#include "mathx/fft.hpp"
+#include "oracles/fft.hpp"
 
 #include <cmath>
 #include <utility>

@@ -1,10 +1,11 @@
 // Fast Fourier transforms: iterative radix-2 plus Bluestein's algorithm for
 // arbitrary lengths.
 //
-// The callers are the OFDM PHY substrate (phy/ofdm), which uses 64-point
-// transforms to synthesise and analyse 802.11 symbols, and
-// bench_micro_core's fft64 cell. The ranging path does not use them: the
-// NDFT estimator (core/ndft) evaluates its non-uniform transforms directly.
+// Test-only: the callers are the OFDM oracle (oracles/ofdm), which uses
+// 64-point transforms to synthesise and analyse 802.11 symbols, and
+// test_mathx_fft. The ranging path does not use them: the NDFT estimator
+// (core/ndft) evaluates its non-uniform transforms directly, so no shipped
+// library carries this code.
 #pragma once
 
 #include <complex>

@@ -1,9 +1,9 @@
-#include "phy/ofdm.hpp"
+#include "oracles/ofdm.hpp"
 
 #include <cmath>
 
 #include "mathx/contracts.hpp"
-#include "mathx/fft.hpp"
+#include "oracles/fft.hpp"
 
 namespace chronos::phy {
 

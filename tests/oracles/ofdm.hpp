@@ -6,8 +6,9 @@
 // baseband *after* carrier removal, which is why detection delay rotates
 // subcarrier k by -2*pi*(f_k - f_0)*delta while leaving subcarrier 0 alone
 // (§5); and (ii) the detection instant itself is energy-triggered and
-// SNR-dependent (§12.1, Fig 7c). This module provides the sample-level
-// substrate used to validate the analytic DetectionModel.
+// SNR-dependent (§12.1, Fig 7c). This test-only oracle provides the
+// sample-level substrate that test_phy_ofdm uses to validate the analytic
+// DetectionModel (phy/detection); no shipped library carries it.
 #pragma once
 
 #include <complex>

@@ -9,14 +9,15 @@
 //    coefficients; OMP matches a reference of the legacy greedy loop;
 //  * the solver iteration loops allocate nothing per iteration (counting
 //    global operator new);
-//  * the NdftPlan cache shares plans by key, and DelayGrid::size() is
-//    robust at exact step multiples.
+//  * two independently built plans for one key are bitwise identical, and
+//    DelayGrid::size() is robust at exact step multiples.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <utility>
 #include <vector>
@@ -662,47 +663,78 @@ TEST(NdftToeplitz, DegenerateProblemsRouteToDenseArmWithoutAsserting) {
   }
 }
 
-// ---- Plan cache ----------------------------------------------------------
+// ---- Independent plan builds -----------------------------------------------
+//
+// Every NdftSolver builds its own plan, so the calibration engine, the
+// ranging engine, and any reference pipeline each hold a separate plan for
+// the same key. They stay bit-identical only because the build is a pure
+// function of (frequencies, grid, weights).
 
-TEST(NdftPlanCache, SharesPlansByExactKey) {
-  const auto freqs = plan_frequencies();
-  const DelayGrid grid{0.0, 30e-9, 0.5e-9};
-  NdftPlan::clear_cache();
-  EXPECT_EQ(NdftPlan::cache_size(), 0u);
-
-  NdftSolver a(freqs, grid);
-  NdftSolver b(freqs, grid);
-  EXPECT_EQ(&a.plan(), &b.plan()) << "identical keys must share one plan";
-  EXPECT_EQ(NdftPlan::cache_size(), 1u);
-
-  // Defaulted weights and explicit all-ones weights are the same key.
-  NdftSolver c(freqs, grid, std::vector<double>(freqs.size(), 1.0));
-  EXPECT_EQ(&a.plan(), &c.plan());
-  EXPECT_EQ(NdftPlan::cache_size(), 1u);
-
-  // Any key component change is a different plan.
-  NdftSolver d(freqs, DelayGrid{0.0, 30e-9, 0.25e-9});
-  EXPECT_NE(&a.plan(), &d.plan());
-  std::vector<double> w(freqs.size(), 1.0);
-  w[0] = 0.5;
-  NdftSolver e(freqs, grid, w);
-  EXPECT_NE(&a.plan(), &e.plan());
-  EXPECT_EQ(NdftPlan::cache_size(), 3u);
+/// The dense and scatter gradients of one fixed sparse iterate, as raw
+/// (re, im) planes: dense re, dense im, scatter re, scatter im.
+std::vector<std::vector<double>> gradients_of(const NdftPlan& plan,
+                                              const std::vector<std::complex<double>>& h) {
+  NdftWorkspace ws;
+  ws.bind(plan.rows(), plan.cols());
+  for (std::size_t i = 0; i < plan.rows(); ++i) {
+    ws.h_re[i] = h[i].real();
+    ws.h_im[i] = h[i].imag();
+  }
+  plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
+               ws.b_im.data());
+  std::fill(ws.p_re.begin(), ws.p_re.end(), 0.0);
+  std::fill(ws.p_im.begin(), ws.p_im.end(), 0.0);
+  ws.active.clear();
+  for (const std::uint32_t k : {40u, 41u, 377u, 900u}) {
+    ws.p_re[k] = 0.25 + 1e-3 * k;
+    ws.p_im[k] = -0.5 + 2e-3 * k;
+    ws.active.push_back(k);
+  }
+  std::vector<std::vector<double>> out;
+  plan.gradient(ws.p_re.data(), ws.p_im.data(), ws);
+  out.push_back(ws.grad_re);
+  out.push_back(ws.grad_im);
+  plan.gradient_toeplitz_scatter(ws.p_re.data(), ws.p_im.data(), ws);
+  out.push_back(ws.grad_re);
+  out.push_back(ws.grad_im);
+  return out;
 }
 
-TEST(NdftPlanCache, CachedPlanReproducesUncachedBuild) {
+bool same_bits(const void* a, const void* b, std::size_t bytes) {
+  return std::memcmp(a, b, bytes) == 0;
+}
+
+TEST(NdftPlan, IndependentBuildsAreBitIdentical) {
   const auto freqs = plan_frequencies();
-  const DelayGrid grid{0.0, 25e-9, 0.5e-9};
-  NdftSolver cached(freqs, grid);
-  const NdftPlan fresh(freqs, grid, {});
+  const DelayGrid grid{0.0, 150e-9, 0.125e-9};  // default ranging grid
+  std::vector<double> weights(freqs.size(), 1.0);
+  weights[0] = 0.5;
+  const NdftSolver first(freqs, grid, weights);
+  const NdftSolver second(freqs, grid, weights);
+  const NdftPlan& a = first.plan();
+  const NdftPlan& b = second.plan();
+  ASSERT_NE(&a, &b) << "each solver must own its plan";
+  ASSERT_TRUE(a.toeplitz_capable());
+
   // gamma comes from a fixed-seed power iteration: bitwise reproducible.
-  EXPECT_EQ(cached.gamma(), fresh.gamma());
-  EXPECT_EQ(cached.matrix().rows(), fresh.matrix().rows());
-  EXPECT_EQ(cached.matrix().cols(), fresh.matrix().cols());
-  for (std::size_t i = 0; i < fresh.matrix().rows(); i += 5) {
-    for (std::size_t k = 0; k < fresh.matrix().cols(); k += 17) {
-      EXPECT_EQ(cached.matrix()(i, k), fresh.matrix()(i, k));
-    }
+  const double gamma_a = a.gamma();
+  const double gamma_b = b.gamma();
+  EXPECT_TRUE(same_bits(&gamma_a, &gamma_b, sizeof(double)));
+  const auto fa = a.matrix().flat();
+  const auto fb = b.matrix().flat();
+  ASSERT_EQ(fa.size(), fb.size());
+  EXPECT_TRUE(same_bits(fa.data(), fb.data(), fa.size() * sizeof(std::complex<double>)));
+
+  mathx::Rng rng(1601);
+  const auto h = random_channel(rng, freqs);
+  const auto ga = gradients_of(a, h);
+  const auto gb = gradients_of(b, h);
+  ASSERT_EQ(ga.size(), gb.size());
+  for (std::size_t i = 0; i < ga.size(); ++i) {
+    ASSERT_EQ(ga[i].size(), gb[i].size());
+    EXPECT_TRUE(same_bits(ga[i].data(), gb[i].data(),
+                          ga[i].size() * sizeof(double)))
+        << (i < 2 ? "dense" : "scatter") << " gradient differs";
   }
 }
 

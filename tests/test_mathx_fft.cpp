@@ -5,8 +5,8 @@
 
 #include "mathx/constants.hpp"
 #include "mathx/cvec.hpp"
-#include "mathx/fft.hpp"
 #include "mathx/rng.hpp"
+#include "oracles/fft.hpp"
 
 namespace chronos::mathx {
 namespace {

@@ -242,22 +242,6 @@ TEST(ShardRouting, DaemonRoutesByTransmitterHash) {
   EXPECT_EQ(single.shard_of_node(chronos::NodeId{9001}), 0u);
 }
 
-TEST(ShardRouting, ShardsOwnPrivatePipelines) {
-  // Per-shard plan/workspace isolation: every shard must own a DISTINCT
-  // pipeline instance (one hot shard cannot contend another's solver
-  // state). The underlying immutable NDFT plan may be shared by the
-  // process-wide cache; the pipeline objects may not.
-  Fixture f = make_fixture(2, /*hostile=*/false);
-  DaemonOptions opt;
-  opt.shards = 3;
-  mathx::Rng rng(1);
-  ChronosDaemon daemon(f.source, fast_config().ranging,
-                       f.engine->calibration(), rng, opt);
-  EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(1));
-  EXPECT_NE(&daemon.shard_pipeline(1), &daemon.shard_pipeline(2));
-  EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(2));
-}
-
 // ---------------------------------------------------------------------------
 // Failure handling on the wire
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 #include <complex>
 
 #include "mathx/rng.hpp"
-#include "phy/ofdm.hpp"
+#include "oracles/ofdm.hpp"
 
 namespace chronos::phy {
 namespace {

@@ -21,7 +21,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,33 +58,14 @@ std::vector<std::complex<double>> test_channel() {
   return h;
 }
 
-/// A panel of distinct two-path channels for the multi-RHS workloads (one
-/// direct path sweeping 12-26 ns, shared 28 ns reflection).
-std::vector<std::vector<std::complex<double>>> batch_channels(
-    std::size_t k_count) {
-  const auto freqs = plan_freqs();
-  std::vector<std::vector<std::complex<double>>> hs(k_count);
-  for (std::size_t k = 0; k < k_count; ++k) {
-    const double tau = 12e-9 + 2e-9 * static_cast<double>(k);
-    hs[k].resize(freqs.size());
-    for (std::size_t i = 0; i < freqs.size(); ++i) {
-      hs[k][i] = std::polar(1.0, -mathx::kTwoPi * freqs[i] * tau) +
-                 0.4 * std::polar(1.0, -mathx::kTwoPi * freqs[i] * 28e-9);
-    }
-  }
-  return hs;
-}
-
 constexpr core::DelayGrid kGrid{0.0, 150e-9, 0.125e-9};
 
 /// One timed workload: `fn` performs one op and returns a value the harness
-/// sinks so the work cannot be optimised away. `ops_per_call` divides the
-/// measured time so multi-RHS workloads report per-RHS cost.
+/// sinks so the work cannot be optimised away.
 struct MicroKernel {
   const char* bm_name;    ///< google-benchmark name (BM_*)
   const char* json_key;   ///< SUMMARY metric name (<key>_ns)
   std::function<double()> fn;
-  double ops_per_call = 1.0;
 };
 
 const std::vector<MicroKernel>& kernels() {
@@ -109,32 +89,6 @@ const std::vector<MicroKernel>& kernels() {
                     return solver->solve_ista(h).residual_norm;
                   }});
 
-    // Multi-RHS batched solve vs the sequential loop it replaces: 8
-    // distinct channels, both reported as ns per RHS. fista_seq_per_rhs is
-    // one standalone solve_fista per request, i.e. the per-request cost
-    // the batched path (one shared plan and workspace) amortises.
-    const auto hs_owned = batch_channels(8);
-    ks.push_back({"BM_FistaBatchPerRhs", "fista_batch_per_rhs",
-                  [solver, hs_owned] {
-                    std::vector<std::span<const std::complex<double>>> hs;
-                    hs.reserve(hs_owned.size());
-                    for (const auto& h_k : hs_owned) hs.emplace_back(h_k);
-                    double acc = 0.0;
-                    for (const auto& r : solver->solve_fista_batch(hs)) {
-                      acc += r.residual_norm;
-                    }
-                    return acc;
-                  },
-                  8.0});
-    ks.push_back({"BM_FistaSeqPerRhs", "fista_seq_per_rhs",
-                  [solver, hs_owned] {
-                    double acc = 0.0;
-                    for (const auto& h_k : hs_owned) {
-                      acc += solver->solve_fista(h_k).residual_norm;
-                    }
-                    return acc;
-                  },
-                  8.0});
     // The pipeline's hottest matched-filter workload: a 1501-point scan of
     // the 0-60 ns window at the 0.04 ns gate-scan step (pre-PR this was a
     // std::polar per row per point; now one recurrence scan).
@@ -216,7 +170,7 @@ int run_chrono_harness() {
   std::printf("  %-28s %14s %12s\n", "kernel", "ns/op", "ms/op");
   std::vector<std::pair<std::string, double>> metrics;
   for (const auto& k : kernels()) {
-    const double ns = measure_ns_per_op(k.fn, min_ms) / k.ops_per_call;
+    const double ns = measure_ns_per_op(k.fn, min_ms);
     std::printf("  %-28s %14.1f %12.4f\n", k.bm_name, ns, ns * 1e-6);
     metrics.emplace_back(std::string(k.json_key) + "_ns", ns);
   }

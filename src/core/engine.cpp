@@ -209,32 +209,20 @@ RangingSession ChronosEngine::feed(std::span<const ResolvedRequest> requests,
   const int threads = resolve_batch_threads(options, n);
   // A batch is a session with no admission bound: the caller opted into
   // batch semantics, so the submission side needs no flow control. One
-  // thread needs no pool: each group then ranges on this thread — which
+  // thread needs no pool: each request then ranges on this thread — which
   // also keeps locate_batch's nested one-thread batches off the pool.
   auto session = open_ranging_session(
       threads > 1 ? session_pool(threads) : nullptr, source_, pipeline_,
       calibration_, rng.fork(kBatchStreamTag),
       std::numeric_limits<std::size_t>::max(), options.retry);
-  // Each group becomes one job draining a multi-RHS solver panel. Failed
-  // slots split their group and take their own ticket in place, so ticket
-  // i is request i and every result is bit-identical to one-by-one
-  // admission.
-  auto is_failed = [&](std::size_t i) {
-    return !failed.empty() && !failed[i].ok();
-  };
-  const std::size_t group =
-      ranging_solve_group(n, static_cast<std::size_t>(threads));
-  for (std::size_t lo = 0; lo < n; lo += group) {
-    const std::size_t hi = std::min(n, lo + group);
-    for (std::size_t i = lo; i < hi;) {
-      if (is_failed(i)) {
-        (void)session.push_failed(failed[i++]);
-        continue;
-      }
-      std::size_t end = i + 1;
-      while (end < hi && !is_failed(end)) ++end;
-      (void)session.submit_group(requests.subspan(i, end - i));
-      i = end;
+  // Request i takes local ticket i — failed slots through push_failed, the
+  // rest through the daemon's sharded admission on stream i, which an
+  // unbounded session never rejects — so results stay index-aligned.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!failed.empty() && !failed[i].ok()) {
+      (void)session.push_failed(failed[i]);
+    } else {
+      (void)session.try_submit_stream(requests[i], i);
     }
   }
   return session;

@@ -197,10 +197,9 @@ class ChronosEngine {
 
   /// The one batch path under measure_batch, submit_batch and locate:
   /// forks `rng` once, opens an unbounded session (poolless, so inline,
-  /// when the batch resolves to one thread), and admits `requests` in solve
-  /// groups split around every slot `failed` marks (empty, or one Status
-  /// per request); those slots go through push_failed, so ticket i is
-  /// request i.
+  /// when the batch resolves to one thread), and admits each request as
+  /// its own ticket on stream i. Slots `failed` marks (empty, or one Status
+  /// per request) go through push_failed, so ticket i is request i.
   RangingSession feed(std::span<const ResolvedRequest> requests,
                       std::span<const chronos::Status> failed,
                       mathx::Rng& rng, const BatchOptions& options) const;

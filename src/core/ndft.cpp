@@ -301,30 +301,10 @@ SparseSolveResult NdftSolver::solve_proximal(
 std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
     std::span<const std::span<const std::complex<double>>> hs,
     const IstaOptions& opts) const {
-  return solve_fista_batch(hs, opts, tls_workspace());
-}
-
-std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
-    std::span<const std::span<const std::complex<double>>> hs,
-    const IstaOptions& opts, NdftWorkspace& ws) const {
+  NdftWorkspace& ws = tls_workspace();
   std::vector<SparseSolveResult> out;
   out.reserve(hs.size());
-  // Shared plan + ONE shared workspace: after the first column the
-  // iteration loop runs allocation-free and every plan-level
-  // precomputation (SoA planes, Toeplitz kernel window) stays hot across
-  // the panel. Per-column arithmetic stays sequential on purpose:
-  // lane-interleaved SoA panels through the same kernels were measured
-  // 2-15x SLOWER per RHS at baseline ISA (the
-  // per-column kernels already run at SSE2 compute peak out of L2, and
-  // interleaving wrecks both the unit stride and the per-column active-set
-  // sparsity). Every buffer a solve reads is fully (re)initialised per
-  // column and the gradient-arm choice is a pure function of (plan,
-  // active-set size), so column k is bit-identical to a standalone
-  // solve_fista(hs[k], opts) — any grouping of requests into batches
-  // preserves the engine's determinism contract.
-  for (const auto& h : hs) {
-    out.push_back(solve_fista(h, opts, ws));
-  }
+  for (const auto& h : hs) out.push_back(solve_fista(h, opts, ws));
   return out;
 }
 

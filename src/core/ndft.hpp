@@ -92,22 +92,13 @@ class NdftSolver {
                                 const IstaOptions& opts,
                                 NdftWorkspace& ws) const;
 
-  /// Multi-RHS batched FISTA: solves every channel in `hs` against this
-  /// solver's shared plan through ONE workspace, draining a session's
-  /// queued requests without re-paying per-request plan lookup, workspace
-  /// growth, or cache warm-up. Column k's result is bit-identical to
-  /// solve_fista(hs[k], opts) — per-column arithmetic is deliberately kept
-  /// sequential (lane-interleaved SoA panels were measured 2-15x SLOWER
-  /// per RHS at baseline ISA: the per-column kernels already run at SSE2
-  /// compute peak out of L2, and interleaving wrecks both the stride and
-  /// the active-set sparsity) — so any grouping of requests into batches
-  /// preserves the engine's determinism contract.
+  /// solve_fista over every channel in `hs`, back to back on this thread's
+  /// workspace; result k is bit-identical to solve_fista(hs[k], opts). No
+  /// ranging path calls it. Kept for perfbench's `ndft.panel_ms_per_rhs`
+  /// cell; removed by the next benchmark PR.
   std::vector<SparseSolveResult> solve_fista_batch(
       std::span<const std::span<const std::complex<double>>> hs,
       const IstaOptions& opts = {}) const;
-  std::vector<SparseSolveResult> solve_fista_batch(
-      std::span<const std::span<const std::complex<double>>> hs,
-      const IstaOptions& opts, NdftWorkspace& ws) const;
 
   /// Greedy orthogonal matching pursuit picking `max_paths` atoms
   /// (extension / ablation baseline). The Gram matrix of the active set is

@@ -117,9 +117,8 @@ class NdftPlan {
   bool toeplitz_capable() const { return toeplitz_capable_; }
 
   /// Picks the cheapest gradient arm for an iterate with `active_count`
-  /// nonzero columns. A pure function of (plan, active_count) — batched and
-  /// sequential solves therefore make identical choices, which is what
-  /// keeps solve_fista_batch bit-identical to one-by-one solve_fista.
+  /// nonzero columns. A pure function of (plan, active_count), so a solve's
+  /// arm choices never depend on what its workspace solved before.
   GradientArm pick_arm(std::size_t active_count) const;
 
   /// ws.grad = T y - b by windowed accumulation over ws.active (y's nonzero

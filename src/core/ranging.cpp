@@ -46,9 +46,19 @@ RangingPipeline::RangingPipeline(const std::vector<phy::WifiBand>& bands,
   CHRONOS_EXPECTS(!bands_.empty(), "pipeline needs at least one band");
 }
 
-RangingPipeline::PreparedSweep RangingPipeline::prepare(
+RangingResult RangingPipeline::estimate(
     const phy::SweepMeasurement& sweep,
     const CalibrationTable& calibration) const {
+  // Detection gate, tier 1: screen the sweep before any math touches it.
+  // A rejection is a typed per-request status, never a throw — one hostile
+  // sweep in a batch must not abort its neighbours.
+  if (chronos::Status gate =
+          screen_sweep(sweep, bands_, config_.integrity);
+      !gate.ok()) {
+    RangingResult out;
+    out.status = std::move(gate);
+    return out;
+  }
   CHRONOS_EXPECTS(sweep.bands.size() == bands_.size(),
                   "sweep band count does not match the pipeline");
 
@@ -63,101 +73,35 @@ RangingPipeline::PreparedSweep RangingPipeline::prepare(
     toa_acc += combined[i].toa_slope_s;
     snr_acc += combined[i].snr_db;
   }
-
-  PreparedSweep prep;
-  prep.toa_s = toa_acc / static_cast<double>(combined.size());
-  prep.field_snr_db = snr_acc / static_cast<double>(combined.size());
+  const double toa_s = toa_acc / static_cast<double>(combined.size());
+  const double field_snr_db = snr_acc / static_cast<double>(combined.size());
   // Weighted data term: rows scaled identically to the solver's F matrix.
-  prep.h = solver_.apply_weights(raw);
-  return prep;
-}
+  const std::vector<std::complex<double>> h = solver_.apply_weights(raw);
 
-SparseSolveResult RangingPipeline::solve_one(
-    std::span<const std::complex<double>> h) const {
+  SparseSolveResult solution;
   switch (config_.solver) {
     case SparseSolverKind::kIsta:
-      return solver_.solve_ista(h, config_.solver_options);
+      solution = solver_.solve_ista(h, config_.solver_options);
+      break;
     case SparseSolverKind::kFista:
-      return solver_.solve_fista(h, config_.solver_options);
+      solution = solver_.solve_fista(h, config_.solver_options);
+      break;
     case SparseSolverKind::kOmp:
-      return solver_.solve_omp(h, config_.omp_paths);
+      solution = solver_.solve_omp(h, config_.omp_paths);
+      break;
   }
-  return {};
+  return finish(h, toa_s, field_snr_db, solution, calibration);
 }
 
-RangingResult RangingPipeline::estimate(
-    const phy::SweepMeasurement& sweep,
-    const CalibrationTable& calibration) const {
-  // Detection gate, tier 1: screen the sweep before any math touches it.
-  // A rejection is a typed per-request status, never a throw — one hostile
-  // sweep in a batch must not abort its neighbours.
-  if (chronos::Status gate =
-          screen_sweep(sweep, bands_, config_.integrity);
-      !gate.ok()) {
-    RangingResult out;
-    out.status = std::move(gate);
-    return out;
-  }
-  PreparedSweep prep = prepare(sweep, calibration);
-  SparseSolveResult solution = solve_one(prep.h);
-  return finish(prep, std::move(solution), calibration);
-}
-
-std::vector<RangingResult> RangingPipeline::estimate_batch(
-    std::span<const phy::SweepMeasurement> sweeps,
-    const CalibrationTable& calibration) const {
-  std::vector<RangingResult> out(sweeps.size());
-
-  // Screen first; only surviving sweeps enter the solver panel. The
-  // scatter below keeps slot i's result bit-identical to a standalone
-  // estimate(sweeps[i]) whatever its neighbours do.
-  std::vector<std::size_t> live;
-  std::vector<PreparedSweep> preps;
-  live.reserve(sweeps.size());
-  preps.reserve(sweeps.size());
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    if (chronos::Status gate =
-            screen_sweep(sweeps[i], bands_, config_.integrity);
-        !gate.ok()) {
-      out[i].status = std::move(gate);
-      continue;
-    }
-    live.push_back(i);
-    preps.push_back(prepare(sweeps[i], calibration));
-  }
-
-  if (config_.solver == SparseSolverKind::kFista && !preps.empty()) {
-    // Multi-RHS panel: one shared plan/workspace across the group. Each
-    // column solves bit-identically to a standalone solve_fista, so
-    // grouping never perturbs results (the determinism tests compare
-    // batched against one-by-one estimates bitwise).
-    std::vector<std::span<const std::complex<double>>> hs;
-    hs.reserve(preps.size());
-    for (const auto& prep : preps) hs.emplace_back(prep.h);
-    auto solutions =
-        solver_.solve_fista_batch(hs, config_.solver_options);
-    for (std::size_t j = 0; j < preps.size(); ++j) {
-      out[live[j]] = finish(preps[j], std::move(solutions[j]), calibration);
-    }
-  } else {
-    for (std::size_t j = 0; j < preps.size(); ++j) {
-      out[live[j]] = finish(preps[j], solve_one(preps[j].h), calibration);
-    }
-  }
-  return out;
-}
-
-RangingResult RangingPipeline::finish(const PreparedSweep& prep,
-                                      SparseSolveResult solution,
+RangingResult RangingPipeline::finish(std::span<const std::complex<double>> h,
+                                      double toa_s, double field_snr_db,
+                                      const SparseSolveResult& solution,
                                       const CalibrationTable& calibration) const {
-  const auto& h = prep.h;
-  const double field_snr_db = prep.field_snr_db;
-
   RangingResult out;
   out.profile = extract_profile(solution, config_.profile);
   out.delay_axis_scale = delay_axis_scale(config_.combining);
   out.solver_iterations = solution.iterations;
-  out.toa_s = prep.toa_s;
+  out.toa_s = toa_s;
 
   // ---- Direct-path selection ------------------------------------------
   // 1. Candidates: sparse-profile clusters above the amplitude threshold.

@@ -130,33 +130,16 @@ class RangingPipeline {
   RangingResult estimate(const phy::SweepMeasurement& sweep,
                          const CalibrationTable& calibration = {}) const;
 
-  /// Runs the pipeline on a panel of sweeps. Result i is bit-identical to
-  /// estimate(sweeps[i], calibration); FISTA configurations drain the
-  /// panel through NdftSolver::solve_fista_batch on one shared
-  /// plan/workspace instead of paying the per-request solve setup — the
-  /// multi-RHS path the session/batch layers group requests for.
-  std::vector<RangingResult> estimate_batch(
-      std::span<const phy::SweepMeasurement> sweeps,
-      const CalibrationTable& calibration = {}) const;
-
   const RangingConfig& config() const { return config_; }
   const NdftSolver& solver() const { return solver_; }
 
  private:
-  /// Everything estimate() derives from the sweep before the solver runs:
-  /// the weighted measurement vector plus the ToA/SNR accumulators the
-  /// peak-selection tail consumes.
-  struct PreparedSweep {
-    std::vector<std::complex<double>> h;
-    double toa_s = 0.0;
-    double field_snr_db = 0.0;
-  };
-
-  PreparedSweep prepare(const phy::SweepMeasurement& sweep,
-                        const CalibrationTable& calibration) const;
-  SparseSolveResult solve_one(
-      std::span<const std::complex<double>> h) const;
-  RangingResult finish(const PreparedSweep& prep, SparseSolveResult solution,
+  /// Direct-path selection and the post-solve integrity checks: everything
+  /// estimate() does after the solver ran on the weighted measurement `h`.
+  /// `toa_s` and `field_snr_db` are the sweep's mean subcarrier-slope ToA
+  /// and SNR, which the ToA gate consumes.
+  RangingResult finish(std::span<const std::complex<double>> h, double toa_s,
+                       double field_snr_db, const SparseSolveResult& solution,
                        const CalibrationTable& calibration) const;
 
   RangingConfig config_;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <string>
 #include <thread>
-#include <utility>
 
 #include "mathx/contracts.hpp"
 
@@ -21,8 +20,7 @@ void backoff_before(const chronos::RetryPolicy& policy, int attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-}  // namespace
-
+/// One ranging attempt: sweep_for on `attempt_rng`, then the pipeline.
 RangingResult range_attempt(const SweepSource& source,
                             const RangingPipeline& pipeline,
                             const CalibrationTable& calibration,
@@ -37,13 +35,14 @@ RangingResult range_attempt(const SweepSource& source,
   return pipeline.estimate(sweep.value(), calibration);
 }
 
-RangingResult finish_with_retries(const SweepSource& source,
-                                  const RangingPipeline& pipeline,
-                                  const CalibrationTable& calibration,
-                                  const ResolvedRequest& request,
-                                  const mathx::Rng& ticket_stream,
-                                  RangingResult first_attempt,
-                                  const chronos::RetryPolicy& policy) {
+}  // namespace
+
+RangingResult range_with_retries(const SweepSource& source,
+                                 const RangingPipeline& pipeline,
+                                 const CalibrationTable& calibration,
+                                 const ResolvedRequest& request,
+                                 const mathx::Rng& ticket_stream,
+                                 const chronos::RetryPolicy& policy) {
   CHRONOS_EXPECTS(policy.max_attempts >= 1,
                   "RetryPolicy::max_attempts must be >= 1");
   // The attempt ladder splits ticket_stream on kRetryStreamTag + a; the
@@ -52,7 +51,9 @@ RangingResult finish_with_retries(const SweepSource& source,
   CHRONOS_EXPECTS(policy.max_attempts <= chronos::kMaxRetryAttempts,
                   "RetryPolicy::max_attempts exceeds the retry stream-tag "
                   "range (mathx/stream_tags.hpp)");
-  RangingResult result = std::move(first_attempt);
+  mathx::Rng first_rng = ticket_stream;
+  RangingResult result =
+      range_attempt(source, pipeline, calibration, request, first_rng);
   result.attempts = 1;
   if (policy.max_attempts == 1) return result;  // pre-retry behaviour
 
@@ -75,19 +76,6 @@ RangingResult finish_with_retries(const SweepSource& source,
                          result.status.to_string()};
   }
   return result;
-}
-
-RangingResult range_with_retries(const SweepSource& source,
-                                 const RangingPipeline& pipeline,
-                                 const CalibrationTable& calibration,
-                                 const ResolvedRequest& request,
-                                 const mathx::Rng& ticket_stream,
-                                 const chronos::RetryPolicy& policy) {
-  mathx::Rng first_rng = ticket_stream;
-  RangingResult first =
-      range_attempt(source, pipeline, calibration, request, first_rng);
-  return finish_with_retries(source, pipeline, calibration, request,
-                             ticket_stream, std::move(first), policy);
 }
 
 }  // namespace chronos::core

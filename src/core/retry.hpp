@@ -10,10 +10,8 @@
 // way the retry-free runtime consumed the stream itself, so a
 // RetryPolicy{1} run is bit-identical to the pre-retry pipeline.
 //
-// The session's one job body (core/session.cpp's range_group) routes its
-// retries through finish_with_retries: the first attempt rides the
-// multi-RHS solver panel, and only failed slots pay the per-request retry
-// solves.
+// range_with_retries is the body of every session ticket's job
+// (core/session.cpp).
 #pragma once
 
 #include <cstdint>
@@ -33,31 +31,14 @@ namespace chronos::core {
 /// the fault tag and of plain ticket ids; this is the layer-local alias.
 inline constexpr std::uint64_t kRetryStreamTag = chronos::kRetryStreamTag;
 
-/// One ranging attempt: sweep_for on `attempt_rng`, then the pipeline.
-/// Failures land in the result's status (never thrown).
-RangingResult range_attempt(const SweepSource& source,
-                            const RangingPipeline& pipeline,
-                            const CalibrationTable& calibration,
-                            const ResolvedRequest& request,
-                            mathx::Rng& attempt_rng);
-
-/// Applies `policy` to an already-computed first attempt: while the status
-/// is retryable and attempts remain, re-range on the ticket's retry
-/// streams. Returns the first success, the first non-retryable failure, or
-/// kRetryExhausted wrapping the last retryable diagnostic. The returned
-/// result's `attempts` counts every attempt consumed (first included).
-RangingResult finish_with_retries(const SweepSource& source,
-                                  const RangingPipeline& pipeline,
-                                  const CalibrationTable& calibration,
-                                  const ResolvedRequest& request,
-                                  const mathx::Rng& ticket_stream,
-                                  RangingResult first_attempt,
-                                  const chronos::RetryPolicy& policy);
-
-/// First attempt + retries in one call: the per-request reference every
-/// session ticket is bit-identical to. Attempt 0 consumes a copy of
+/// Ranges `request` under `policy`: attempt 0 consumes a copy of
 /// `ticket_stream` exactly as the retry-free runtime would consume the
-/// stream itself.
+/// stream itself; while the status is retryable and attempts remain, the
+/// request is re-ranged on the ticket's retry streams. Returns the first
+/// success, the first non-retryable failure, or kRetryExhausted wrapping
+/// the last retryable diagnostic. The result's `attempts` counts every
+/// attempt consumed (first included). Failures land in the status (never
+/// thrown).
 RangingResult range_with_retries(const SweepSource& source,
                                  const RangingPipeline& pipeline,
                                  const CalibrationTable& calibration,

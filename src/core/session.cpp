@@ -47,74 +47,30 @@ struct Shared {
         retry(retry_policy) {}
 };
 
-/// The one job body: ranges `requests` on streams
-/// base.split(first_stream + j). Sweep failures land in their slot's
-/// status; the good sweeps then drain through ONE
-/// RangingPipeline::estimate_batch (the multi-RHS solver panel), and an
-/// index scatter re-aligns the estimates with their slots. A single
-/// request is a group of one. Anything thrown is a library defect: once
-/// the shared panel solve has failed, no per-ticket result can be trusted,
-/// so every ticket in the group reports kInternal.
-std::vector<RangingResult> range_group(
-    const Shared& shared, std::uint64_t first_stream,
-    std::span<const ResolvedRequest> requests) {
-  std::vector<RangingResult> results(requests.size());
+/// The one job body: ranges `request` on stream base.split(stream) through
+/// the retry ladder. Anything thrown is a library defect and reports
+/// kInternal on this ticket only.
+RangingResult range_ticket(const Shared& shared, std::uint64_t stream,
+                           const ResolvedRequest& request) {
+  RangingResult result;
   try {
-    std::vector<phy::SweepMeasurement> sweeps;
-    std::vector<std::size_t> slots;
-    sweeps.reserve(requests.size());
-    slots.reserve(requests.size());
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      mathx::Rng child =
-          shared.base.split(first_stream + static_cast<std::uint64_t>(j));
-      auto sweep = shared.source->sweep_for(requests[j], child);
-      if (!sweep.ok()) {
-        results[j].status = sweep.status();
-        continue;
-      }
-      sweeps.push_back(std::move(sweep).value());
-      slots.push_back(j);
-    }
-    if (!sweeps.empty()) {
-      auto estimates =
-          shared.pipeline->estimate_batch(sweeps, *shared.calibration);
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        results[slots[k]] = std::move(estimates[k]);
-      }
-    }
-    // Retries ride per ticket AFTER the shared panel: only failed slots
-    // pay per-request retry solves, and each retry attempt is a pure
-    // function of its ticket stream — bit-identical to range_with_retries.
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      results[j] = finish_with_retries(
-          *shared.source, *shared.pipeline, *shared.calibration, requests[j],
-          shared.base.split(first_stream + static_cast<std::uint64_t>(j)),
-          std::move(results[j]), shared.retry);
-    }
+    return range_with_retries(*shared.source, *shared.pipeline,
+                              *shared.calibration, request,
+                              shared.base.split(stream), shared.retry);
   } catch (const std::exception& e) {
-    for (auto& result : results) {
-      result = RangingResult{};
-      result.status = {chronos::StatusCode::kInternal, e.what()};
-    }
+    result.status = {chronos::StatusCode::kInternal, e.what()};
   } catch (...) {
-    for (auto& result : results) {
-      result = RangingResult{};
-      result.status = {chronos::StatusCode::kInternal,
-                       "non-exception throw while ranging"};
-    }
+    result.status = {chronos::StatusCode::kInternal,
+                     "non-exception throw while ranging"};
   }
-  return results;
+  return result;
 }
 
-/// Publishes a finished group: tickets first_ticket.. get `results`.
-void complete(Shared& shared, std::uint64_t first_ticket,
-              std::vector<RangingResult> results) {
+/// Publishes a finished ticket's result.
+void complete(Shared& shared, std::uint64_t ticket, RangingResult result) {
   chronos::MutexLock lock(shared.mutex);
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    shared.done.emplace(first_ticket + static_cast<std::uint64_t>(j),
-                        std::move(results[j]));
-  }
-  shared.finished += results.size();
+  shared.done.emplace(ticket, std::move(result));
+  ++shared.finished;
   shared.cv.notify_all();
 }
 
@@ -159,9 +115,9 @@ chronos::Result<std::uint64_t> RangingSession::try_submit(
   // lint:endregion(no-alloc)
   auto resolved = state_->shared->source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  const auto ticket = claim(1, /*block=*/false);
+  const auto ticket = claim(/*block=*/false);
   if (!ticket) return queue_full();
-  dispatch(*ticket, *ticket, {&resolved.value(), 1});
+  dispatch(*ticket, *ticket, resolved.value());
   return *ticket;
 }
 
@@ -170,35 +126,24 @@ chronos::Result<std::uint64_t> RangingSession::submit(
   CHRONOS_EXPECTS(state_ != nullptr, "submit() on an invalid session");
   auto resolved = state_->shared->source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  return submit_group({&resolved.value(), 1});
-}
-
-std::uint64_t RangingSession::submit_group(
-    std::span<const ResolvedRequest> requests) {
-  CHRONOS_EXPECTS(state_ != nullptr, "submit_group() on an invalid session");
-  CHRONOS_EXPECTS(!requests.empty(),
-                  "submit_group() needs at least one request");
-  CHRONOS_EXPECTS(requests.size() <= state_->depth,
-                  "group larger than queue depth would never admit");
-  const std::uint64_t first = *claim(requests.size(), /*block=*/true);
-  // Local admission: each ticket addresses its own split stream.
-  dispatch(first, first, requests);
-  return first;
+  const std::uint64_t ticket = *claim(/*block=*/true);
+  // Local admission: the ticket addresses its own split stream.
+  dispatch(ticket, ticket, resolved.value());
+  return ticket;
 }
 
 std::optional<std::uint64_t> RangingSession::try_submit_stream(
     const ResolvedRequest& request, std::uint64_t stream_index) {
   CHRONOS_EXPECTS(state_ != nullptr,
                   "try_submit_stream() on an invalid session");
-  const auto ticket = claim(1, /*block=*/false);
+  const auto ticket = claim(/*block=*/false);
   if (!ticket) return std::nullopt;
   // Sharded admission: the caller owns the global stream space.
-  dispatch(*ticket, stream_index, {&request, 1});
+  dispatch(*ticket, stream_index, request);
   return ticket;
 }
 
-std::optional<std::uint64_t> RangingSession::claim(std::size_t count,
-                                                   bool block) {
+std::optional<std::uint64_t> RangingSession::claim(bool block) {
   auto& shared = *state_->shared;
   const std::size_t depth = state_->depth;
   // Admission itself is allocation-free (see try_submit): check + ticket
@@ -206,33 +151,27 @@ std::optional<std::uint64_t> RangingSession::claim(std::size_t count,
   // lint:region(no-alloc)
   chronos::MutexLock lock(shared.mutex);
   auto room = [&]() CHRONOS_REQUIRES(shared.mutex) {
-    return shared.submitted - shared.finished + count <= depth;
+    return shared.submitted - shared.finished < depth;
   };
   if (block) {
     shared.cv.wait(shared.mutex, room);
   } else if (!room()) {
     return std::nullopt;
   }
-  const std::uint64_t first = shared.submitted;
-  shared.submitted += count;
-  return first;
+  return shared.submitted++;
   // lint:endregion(no-alloc)
 }
 
-void RangingSession::dispatch(std::uint64_t first_ticket,
-                              std::uint64_t first_stream,
-                              std::span<const ResolvedRequest> requests) {
+void RangingSession::dispatch(std::uint64_t ticket, std::uint64_t stream,
+                              const ResolvedRequest& request) {
   auto& shared = *state_->shared;
   if (state_->pool == nullptr) {
-    complete(shared, first_ticket, range_group(shared, first_stream, requests));
+    complete(shared, ticket, range_ticket(shared, stream, request));
     return;
   }
   (void)state_->pool->submit(
-      [payload = state_->shared, first_ticket, first_stream,
-       group = std::vector<ResolvedRequest>(requests.begin(),
-                                            requests.end())]() {
-        complete(*payload, first_ticket,
-                 range_group(*payload, first_stream, group));
+      [payload = state_->shared, ticket, stream, request]() {
+        complete(*payload, ticket, range_ticket(*payload, stream, request));
       });
 }
 
@@ -352,9 +291,6 @@ RangingSession open_ranging_session(
 }
 
 std::size_t ranging_solve_group(std::size_t n_requests, std::size_t threads) {
-  // 8 RHS per panel is where the measured per-RHS gain of the multi-RHS
-  // FISTA path flattens out (plan lookup + workspace growth are fully
-  // amortised); wider groups only hurt parallel load balance.
   constexpr std::size_t kMaxGroup = 8;
   if (threads <= 1) return kMaxGroup;
   return std::min(kMaxGroup,

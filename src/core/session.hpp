@@ -1,12 +1,12 @@
 // Ticketed ranging sessions: the one ingestion runtime under measure_batch,
 // submit_batch, open_session, and the chronosd shards.
 //
-// `RangingSession`: requests are admitted singly or in groups (ticketed 0,
-// 1, 2, ... in admission order), ranged on a persistent worker pool — or,
-// for a session opened without a pool, on the admitting thread — and
-// collected in ticket order. Admission is bounded: at most `queue_depth`
-// tickets may be in flight (admitted but unfinished) at once —
-// `try_submit` reports chronos::kQueueFull immediately (never blocks,
+// `RangingSession`: requests are admitted one at a time (ticketed 0, 1, 2,
+// ... in admission order), each ranged as one job on a persistent worker
+// pool — or, for a session opened without a pool, on the admitting thread
+// — and collected in ticket order. Admission is bounded: at most
+// `queue_depth` tickets may be in flight (admitted but unfinished) at once
+// — `try_submit` reports chronos::kQueueFull immediately (never blocks,
 // never drops silently), `submit` blocks until a worker frees a slot. This
 // is the backpressure story for sustained async submission: a producer
 // that outruns the workers is told so, per request, instead of growing an
@@ -17,22 +17,22 @@
 // forked once on kBatchStreamTag); ticket i draws from base.split(i), or
 // from base.split(stream_index) for sharded admission. A result is
 // therefore a pure function of (source, pipeline, calibration, request,
-// base stream, stream index) — never of queue depth, grouping, scheduling,
-// pool size, or collection timing (tests/test_core_batch.cpp is the
+// base stream, stream index) — never of queue depth, scheduling, pool
+// size, or collection timing (tests/test_core_batch.cpp is the
 // enforcement).
 //
 // Error model: request-shaped failures never throw. Id-based submissions
 // that fail resolution are rejected synchronously (no ticket consumed);
 // backend failures during ranging land in the per-ticket
-// RangingResult::status. Worker exceptions (programmer error) are
-// captured as kInternal rather than tearing down the pool.
+// RangingResult::status. A worker exception (programmer error) is
+// captured as kInternal on its own ticket rather than tearing down the
+// pool or touching any other ticket.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/api.hpp"
@@ -86,16 +86,6 @@ class RangingSession {
   /// full queue would then deadlock against itself).
   chronos::Result<std::uint64_t> submit(const chronos::RangingRequest& request);
 
-  /// Pre-resolved admission of a whole group: claims requests.size()
-  /// consecutive tickets and ranges them as ONE job that drains the group
-  /// through RangingPipeline::estimate_batch — the multi-RHS FISTA panel
-  /// that shares one solver plan/workspace across the group instead of
-  /// paying per-request solve setup. Grouping is purely an amortisation:
-  /// every ticket's result is bit-identical to admitting it alone. Blocks
-  /// until the queue has room for the whole group; `requests` must be
-  /// non-empty and no larger than queue_depth(). Returns the first ticket.
-  std::uint64_t submit_group(std::span<const ResolvedRequest> requests);
-
   /// Sharded admission (the netd daemon's seam): non-blocking; the
   /// admitted ticket draws from base.split(stream_index) instead of its own
   /// local ticket index. Several shard sessions opened over ONE shared base
@@ -138,14 +128,13 @@ class RangingSession {
       const mathx::Rng& base_stream, std::size_t queue_depth,
       const chronos::RetryPolicy& retry);
 
-  /// The one ticket claim: `count` consecutive local tickets, waiting for
-  /// room when `block`, else nullopt when in-flight work leaves too little.
-  /// Allocation-free.
-  std::optional<std::uint64_t> claim(std::size_t count, bool block);
-  /// Ranges `requests` as tickets first_ticket.. on streams
-  /// base.split(first_stream + j): one pool job, or inline without a pool.
-  void dispatch(std::uint64_t first_ticket, std::uint64_t first_stream,
-                std::span<const ResolvedRequest> requests);
+  /// The one ticket claim: the next local ticket, waiting for room when
+  /// `block`, else nullopt when the queue is full. Allocation-free.
+  std::optional<std::uint64_t> claim(bool block);
+  /// Ranges `request` as `ticket` on stream base.split(stream): one pool
+  /// job, or inline without a pool.
+  void dispatch(std::uint64_t ticket, std::uint64_t stream,
+                const ResolvedRequest& request);
 
   struct State;
   std::shared_ptr<State> state_;
@@ -171,11 +160,10 @@ RangingSession open_ranging_session(
     const mathx::Rng& base_stream, std::size_t queue_depth,
     const chronos::RetryPolicy& retry = {});
 
-/// Group size a batch uses when draining `n_requests` through multi-RHS
-/// solves on `threads` workers. Large groups amortise per-request solve
-/// setup; small groups keep every worker busy. Inline (`threads <= 1`)
-/// runs take the full multi-RHS width; parallel runs cap the group so at
-/// least ~4 groups land on every worker for load balance.
+/// Panel width perfbench times `NdftSolver::solve_fista_batch` at: 8 for
+/// `threads <= 1`, else capped so ~4 panels land on every worker. Kept for
+/// perfbench's `ndft.panel_ms_per_rhs` cell; removed by the next benchmark
+/// PR.
 std::size_t ranging_solve_group(std::size_t n_requests, std::size_t threads);
 
 }  // namespace chronos::core

@@ -96,7 +96,7 @@ chronos::Result<phy::SweepMeasurement> SimSweepSource::sweep_for(
     const ResolvedRequest& req, mathx::Rng& rng) const {
   // Bounds are re-checked here (not only in resolve) because resolved
   // requests can also be built directly, e.g. for
-  // RangingSession::submit_group, without passing through resolve().
+  // RangingSession::try_submit_stream, without passing through resolve().
   if (req.tx_antenna >= req.tx.antennas.size()) {
     return antenna_out_of_range({{req.tx.hardware_seed}, req.tx_antenna},
                                 req.tx.antennas.size());

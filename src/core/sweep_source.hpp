@@ -86,8 +86,8 @@ class SweepSource : public chronos::NodeRegistry {
   /// this backend cannot serve it. Implementations MUST validate `req`
   /// and report unserveable requests as a Status — never crash or read
   /// out of bounds: resolved requests are also built directly for
-  /// RangingSession::submit_group (e.g. by locate's pair loop), without
-  /// passing through resolve().
+  /// RangingSession::try_submit_stream (e.g. by locate's pair loop),
+  /// without passing through resolve().
   virtual chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const = 0;
 

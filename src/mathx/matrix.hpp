@@ -1,10 +1,9 @@
 // Minimal dense matrix over double or std::complex<double>.
 //
 // The library deliberately avoids external linear-algebra dependencies: the
-// only consumers are the NDFT solver (matrix-vector products with the Fourier
-// matrix), trilateration (small Gauss-Newton systems), and the MUSIC baseline
-// (Hermitian eigendecomposition). Row-major storage, bounds-checked in debug
-// via contracts at the public API.
+// consumers are the NDFT solver (matrix-vector products with the Fourier
+// matrix) and trilateration (small Gauss-Newton systems). Row-major
+// storage, bounds-checked in debug via contracts at the public API.
 #pragma once
 
 #include <complex>
@@ -151,8 +150,8 @@ double spectral_norm(const ComplexMatrix& a, int iterations = 30,
 
 /// Eigendecomposition of a Hermitian matrix by the cyclic Jacobi method.
 /// Returns eigenvalues ascending; `eigenvectors` (if non-null) receives the
-/// corresponding orthonormal eigenvectors as matrix columns. Used by the
-/// MUSIC super-resolution baseline.
+/// corresponding orthonormal eigenvectors as matrix columns. No shipped
+/// module calls it; tests/test_mathx_matrix.cpp covers it.
 std::vector<double> hermitian_eigen(const ComplexMatrix& a,
                                     ComplexMatrix* eigenvectors = nullptr,
                                     int max_sweeps = 60);

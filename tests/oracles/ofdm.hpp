@@ -6,9 +6,10 @@
 // baseband *after* carrier removal, which is why detection delay rotates
 // subcarrier k by -2*pi*(f_k - f_0)*delta while leaving subcarrier 0 alone
 // (§5); and (ii) the detection instant itself is energy-triggered and
-// SNR-dependent (§12.1, Fig 7c). This test-only oracle provides the
-// sample-level substrate that test_phy_ofdm uses to validate the analytic
-// DetectionModel (phy/detection); no shipped library carries it.
+// SNR-dependent (§12.1, Fig 7c). This test-only oracle provides that
+// sample-level substrate; test_phy_ofdm checks the oracle's own preamble
+// synthesis and PacketDetector. No test compares it with the analytic
+// DetectionModel (phy/detection), and no shipped library carries it.
 #pragma once
 
 #include <complex>

@@ -2,93 +2,17 @@
 
 #include <cmath>
 #include <complex>
+#include <vector>
 
-#include "baseline/clock_toa.hpp"
-#include "baseline/music.hpp"
 #include "baseline/pseudo_inverse.hpp"
-#include "baseline/single_band.hpp"
 #include "core/profile.hpp"
 #include "mathx/constants.hpp"
-#include "mathx/stats.hpp"
 #include "phy/band_plan.hpp"
-#include "phy/csi.hpp"
 
 namespace chronos::baseline {
 namespace {
 
 using mathx::kTwoPi;
-
-TEST(ClockToa, ErrorDominatedByClockQuantization) {
-  ClockToaConfig cfg;  // 20 MHz clock: 50 ns ticks = 15 m
-  mathx::Rng rng(1);
-  const auto stats = clock_toa_error_stats(cfg, 20e-9, 30.0, 500, rng);
-  // Median error is metres — three orders beyond Chronos.
-  EXPECT_GT(stats.median_abs_error_m, 1.0);
-}
-
-TEST(ClockToa, FasterClockHelpsButStaysCoarse) {
-  mathx::Rng rng(2);
-  ClockToaConfig slow;
-  slow.clock_hz = 20e6;
-  ClockToaConfig fast;
-  fast.clock_hz = 88e6;  // SAIL's Atheros clock
-  const auto s = clock_toa_error_stats(slow, 20e-9, 30.0, 400, rng);
-  const auto f = clock_toa_error_stats(fast, 20e-9, 30.0, 400, rng);
-  EXPECT_LT(f.median_abs_error_m, s.median_abs_error_m);
-  EXPECT_GT(f.median_abs_error_m, 0.3);  // still far from 15 cm
-}
-
-TEST(ClockToa, UncompensatedDetectionDelayAddsHugeBias) {
-  mathx::Rng rng(3);
-  ClockToaConfig raw;
-  raw.subtract_mean_detection_delay = false;
-  double est = clock_toa_estimate(raw, 20e-9, 30.0, rng);
-  // ~180 ns of detection delay = ~54 m of bias.
-  EXPECT_GT((est - 20e-9) * mathx::kSpeedOfLight, 30.0);
-}
-
-TEST(ClockToa, AveragingReducesJitter) {
-  mathx::Rng rng(4);
-  ClockToaConfig one;
-  one.averages = 1;
-  ClockToaConfig many;
-  many.averages = 50;
-  std::vector<double> e1, e50;
-  for (int i = 0; i < 200; ++i) {
-    e1.push_back(std::abs(clock_toa_estimate(one, 20e-9, 30.0, rng) - 20e-9));
-    e50.push_back(
-        std::abs(clock_toa_estimate(many, 20e-9, 30.0, rng) - 20e-9));
-  }
-  EXPECT_LT(mathx::stddev(e50), mathx::stddev(e1));
-}
-
-TEST(SingleBand, CandidatesSpacedByWavelengthPeriod) {
-  const double freq = 2.412e9;
-  const double tau = 5e-9;
-  const auto h = std::polar(1.0, -kTwoPi * freq * tau);
-  const auto cands = single_band_candidates(h, freq, 10.0);
-  ASSERT_GT(cands.size(), 50u);  // ambiguity every 12.4 cm over 10 m
-  const double spacing = cands[1] - cands[0];
-  EXPECT_NEAR(spacing, mathx::kSpeedOfLight / freq, 1e-9);
-  // The true distance is among the candidates.
-  bool found = false;
-  for (double c : cands) {
-    if (std::abs(c - mathx::tof_to_distance(tau)) < 1e-6) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(SingleBand, HintSelectsCorrectCandidate) {
-  const double freq = 5.5e9;
-  const double truth_m = 7.3;
-  const auto h =
-      std::polar(1.0, -kTwoPi * freq * mathx::distance_to_tof(truth_m));
-  const double est = single_band_estimate_with_hint(h, freq, 7.32, 20.0);
-  EXPECT_NEAR(est, truth_m, 1e-6);
-  // A hint off by more than half a period picks the wrong candidate.
-  const double bad = single_band_estimate_with_hint(h, freq, 7.36, 20.0);
-  EXPECT_GT(std::abs(bad - truth_m), 0.02);
-}
 
 std::vector<double> plan_freqs() {
   std::vector<double> f;
@@ -124,64 +48,6 @@ TEST(PseudoInverse, MinNormReconstructsMeasurements) {
   const auto sol = solve_min_norm(solver, h);
   // Min-norm solution is data-consistent up to the Tikhonov regulariser.
   EXPECT_LT(sol.residual_norm, 1e-3);
-}
-
-phy::CsiMeasurement music_measurement(double toa, double noise,
-                                      mathx::Rng* rng) {
-  phy::CsiMeasurement m;
-  m.band = phy::band_by_channel(36);
-  m.values.resize(30);
-  const auto idx = phy::intel5300_subcarrier_indices();
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    const double off = phy::subcarrier_offset_hz(idx[k]);
-    m.values[k] = std::polar(1.0, -kTwoPi * off * toa);
-    if (rng != nullptr) m.values[k] += rng->complex_gaussian(noise);
-  }
-  return m;
-}
-
-TEST(Music, SinglePathToaWithinBandResolution) {
-  const double toa = 80e-9;
-  const auto m = music_measurement(toa, 0.0, nullptr);
-  std::vector<double> offsets;
-  for (int k : phy::intel5300_subcarrier_indices()) {
-    offsets.push_back(phy::subcarrier_offset_hz(k));
-  }
-  MusicConfig cfg;
-  cfg.n_paths = 1;
-  const auto r = music_toa(m.values, offsets, cfg);
-  ASSERT_TRUE(r.peak_found);
-  // A 20 MHz aperture resolves to ~10 ns at best (smoothing adds bias) —
-  // an order of magnitude coarser than Chronos's stitched sub-ns.
-  EXPECT_NEAR(r.first_peak_delay_s, toa, 10e-9);
-}
-
-TEST(Music, NoisyToaStillCoarse) {
-  mathx::Rng rng(5);
-  const double toa = 120e-9;
-  const auto m = music_measurement(toa, 0.02, &rng);
-  std::vector<double> offsets;
-  for (int k : phy::intel5300_subcarrier_indices()) {
-    offsets.push_back(phy::subcarrier_offset_hz(k));
-  }
-  MusicConfig cfg;
-  cfg.n_paths = 2;
-  const auto r = music_toa(m.values, offsets, cfg);
-  ASSERT_TRUE(r.peak_found);
-  EXPECT_NEAR(r.first_peak_delay_s, toa, 10e-9);
-}
-
-TEST(Music, RejectsBadConfig) {
-  const auto m = music_measurement(50e-9, 0.0, nullptr);
-  std::vector<double> offsets;
-  for (int k : phy::intel5300_subcarrier_indices()) {
-    offsets.push_back(phy::subcarrier_offset_hz(k));
-  }
-  MusicConfig cfg;
-  cfg.n_paths = 20;
-  cfg.subarray = 16;
-  EXPECT_THROW((void)music_toa(m.values, offsets, cfg),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -79,6 +83,47 @@ void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
   }
 }
 
+/// Forwards to `inner`, except that sweep_for throws for the transmitter
+/// whose hardware seed is `poisoned_seed`: a planted library defect in one
+/// request's job.
+class ThrowingSweepSource final : public SweepSource {
+ public:
+  ThrowingSweepSource(std::shared_ptr<const SweepSource> inner,
+                      std::uint64_t poisoned_seed)
+      : inner_(std::move(inner)), poisoned_seed_(poisoned_seed) {}
+
+  bool has_node(chronos::NodeId id) const override {
+    return inner_->has_node(id);
+  }
+  chronos::Result<std::size_t> antenna_count(
+      chronos::NodeId id) const override {
+    return inner_->antenna_count(id);
+  }
+  std::vector<chronos::NodeId> nodes() const override {
+    return inner_->nodes();
+  }
+  chronos::Result<ResolvedRequest> resolve(
+      const chronos::RangingRequest& request) const override {
+    return inner_->resolve(request);
+  }
+  chronos::Result<phy::SweepMeasurement> sweep_for(
+      const ResolvedRequest& req, mathx::Rng& rng) const override {
+    if (req.tx.hardware_seed == poisoned_seed_) {
+      throw std::logic_error("planted defect in sweep_for");
+    }
+    return inner_->sweep_for(req, rng);
+  }
+  const std::vector<phy::WifiBand>& bands() const override {
+    return inner_->bands();
+  }
+  bool has_geometry() const override { return inner_->has_geometry(); }
+  std::string backend_name() const override { return "throwing"; }
+
+ private:
+  std::shared_ptr<const SweepSource> inner_;
+  std::uint64_t poisoned_seed_;
+};
+
 TEST(BatchDeterminism, ThreadCountNeverChangesResults) {
   const auto source = fast_source(sim::office_20x20());
   const ChronosEngine eng(source, fast_config());
@@ -129,9 +174,8 @@ TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
   // Second input, against an oracle that never opens a session: a hand
   // loop of range_with_retries on base.split(i). Id-based requests through
   // a fault-injecting backend with retries, and one unresolvable request
-  // at slot 4 — interior to its solve group at every thread count (48
-  // requests: groups of 8, 6, and 3 at 1, 2, and 4 threads), so the group
-  // is split around it.
+  // at slot 4, which takes its ticket through push_failed between admitted
+  // neighbours.
   constexpr std::size_t kLinks = 48;
   constexpr std::size_t kBad = 4;
   const auto inner = fast_source(sim::office_20x20());
@@ -215,6 +259,39 @@ TEST(BatchDeterminism, BadRequestYieldsStatusNotAbort) {
   EXPECT_FALSE(batch.results[1].peak_found);
   EXPECT_TRUE(batch.results[2].status.ok());
   EXPECT_TRUE(batch.results[0].peak_found);
+}
+
+TEST(BatchSession, ThrowInOneTicketLeavesNeighboursIntact) {
+  // A throw while ranging is a library defect. It must cost its own ticket
+  // (kInternal) and nothing else: eight requests ranged back to back on one
+  // thread, the poisoned one in the middle, and every neighbour still
+  // matches range_with_retries on its own ticket stream bit for bit.
+  constexpr std::size_t kLinks = 8;
+  constexpr std::size_t kBad = 3;
+  const auto inner = fast_source(sim::office_20x20());
+  const auto requests = make_requests(*inner, kLinks);  // tx seed 100 + i
+  const ChronosEngine eng(
+      std::make_shared<ThrowingSweepSource>(inner, 100 + kBad),
+      fast_config());
+
+  mathx::Rng rng(99);
+  const auto batch = eng.measure_batch(requests, rng, BatchOptions{1});
+  ASSERT_EQ(batch.results.size(), kLinks);
+  EXPECT_EQ(batch.results[kBad].status.code(), chronos::StatusCode::kInternal);
+
+  mathx::Rng rng_oracle(99);
+  const mathx::Rng base = rng_oracle.fork(kBatchStreamTag);
+  for (std::size_t i = 0; i < kLinks; ++i) {
+    if (i == kBad) continue;
+    const auto resolved = eng.source().resolve(requests[i]);
+    ASSERT_TRUE(resolved.ok());
+    const RangingResult oracle = range_with_retries(
+        eng.source(), eng.pipeline(), eng.calibration(), resolved.value(),
+        base.split(i), chronos::RetryPolicy{});
+    EXPECT_TRUE(batch.results[i].status.ok()) << "slot " << i;
+    EXPECT_EQ(batch.results[i].attempts, oracle.attempts) << "slot " << i;
+    expect_bitwise_equal(batch.results[i], oracle);
+  }
 }
 
 TEST(BatchSession, SubmitDrainMatchesSynchronousMeasureBatch) {

@@ -67,8 +67,9 @@ TEST(SimSweepSource, MatchesDirectSimulatorBitExactly) {
   EXPECT_EQ(rng_direct.uniform(0.0, 1.0), rng_seam.uniform(0.0, 1.0));
 
   // Resolved requests built without resolve() (RangingSession::
-  // submit_group callers) are bounds-checked too: an out-of-range antenna
-  // on either side is a Status, never a throw or an out-of-bounds read.
+  // try_submit_stream callers) are bounds-checked too: an out-of-range
+  // antenna on either side is a Status, never a throw or an out-of-bounds
+  // read.
   for (const auto& bad : {ResolvedRequest{tx, 1, rx, 1},    // tx: 1 antenna
                           ResolvedRequest{tx, 0, rx, 3}}) {  // rx: 3
     mathx::Rng rng_bad(42);
